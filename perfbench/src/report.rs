@@ -22,7 +22,7 @@ pub struct Outcome {
     /// Operations that failed or returned a wrong answer.
     pub failed: u64,
     /// Checks that failed outside any single operation (a quality floor,
-    /// a ladder that never passed). Any entry makes the run incorrect.
+    /// a deployment that did not start). Any entry makes the run incorrect.
     pub problems: Vec<String>,
     /// End-to-end metrics of the untraced run.
     pub end_to_end: Vec<Metric>,

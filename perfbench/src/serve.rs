@@ -1,17 +1,18 @@
 //! The `serve_single` and `serve_sharded` workloads: single-example
-//! `POST /v1/predict` requests from an open-loop load generator against
-//! one `HttpServer`, or against four shard servers behind a `Router`.
-//! Every answer is checked bit for bit against the in-process engine on
-//! the full snapshot.
+//! `POST /v1/predict` requests, open loop at a reference rate and closed
+//! loop at one and at `nproc` connections, against one `HttpServer`, or
+//! against four shard servers behind a `Router`. Every answer is checked
+//! bit for bit against the in-process engine on the full snapshot.
 
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use slide_core::snapshot::slice_snapshot;
-use slide_core::{DenseSelector, SlideTrainer, TopK};
+use slide_core::{DenseSelector, SlideTrainer, TopK, TrainOptions};
 use slide_data::rng::{mix64, Rng, Xoshiro256PlusPlus};
-use slide_data::SparseVector;
+use slide_data::{Dataset, SparseVector};
 use slide_serve::conn::{ParseStatus, RequestParser};
 use slide_serve::http::{HttpOptions, HttpServer};
 use slide_serve::wire::{self, PredictRequest};
@@ -23,7 +24,7 @@ use slide_serve::{
 use crate::idle::IdlePoll;
 use crate::report::{nproc, peak_rss_mib, Outcome};
 use crate::stats::{median, quantile, sort};
-use crate::train::{Geometry, CORPUS_SEED};
+use crate::train::{report_training_layers, traced_train, Geometry, CORPUS_SEED};
 
 /// One box, or the snapshot sliced across shard servers behind a router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,10 +43,8 @@ const SLO_P99_US: f64 = 5_000.0;
 
 /// Ratio between neighbouring rungs of the rate ladder.
 const LADDER_STEP: f64 = 1.05;
-/// The ladder spans `reference × LADDER_STEP^i` for `i` in this range.
-const LADDER_RUNGS: std::ops::RangeInclusive<i32> = -48..=80;
-/// Rungs skipped per step while climbing to the knee.
-const CLIMB: i32 = 8;
+/// The ladder climbs `reference × LADDER_STEP^i` for `i` in `1..=LADDER_TOP`.
+const LADDER_TOP: i32 = 48;
 /// Fewest requests on one rung, so its p99 has ten samples beyond it.
 const MIN_RUNG_REQUESTS: usize = 1_000;
 /// Windows of the reference phase; `p99_us` is the median of their p99s.
@@ -56,8 +55,15 @@ const WARMUP_REQUESTS: usize = 200;
 /// A rung whose completions fall behind its offered rate by more than
 /// this share has a growing backlog.
 const BACKLOG_SHARE: f64 = 0.05;
+/// Rounds of the measured phase. Each round sends a share of the
+/// reference-rate requests, then runs one closed-loop window at one
+/// connection and one at `nproc`, so every end-to-end metric samples
+/// the whole run rather than one stretch of the host's speed.
+const ROUNDS: usize = 8;
+/// Length of one closed-loop window, as a share of `--seconds`.
+const CLOSED_WINDOW_SHARE: f64 = 0.05;
 /// Set-up repetitions; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 5;
 /// Epochs of one-thread training that make the served snapshot.
 const SNAPSHOT_EPOCHS: usize = 2;
 /// Requests of the traced in-process pass and of the shard round trip.
@@ -97,16 +103,39 @@ fn serve_geometry() -> Geometry {
     }
 }
 
-/// Trains the served model: the `train_lsh` geometry with buckets as
-/// large as the class count (so neither the full tables nor any slice's
-/// tables evict, and slices hold exactly the full tables' entries), one
-/// thread, fixed epochs. Deterministic.
-pub fn make_snapshot() -> Vec<u8> {
+/// The served model before training, its corpus and its options: the
+/// `train_lsh` geometry with buckets as large as the class count (so
+/// neither the full tables nor any slice's tables evict, and slices hold
+/// exactly the full tables' entries), one thread, fixed epochs.
+fn snapshot_training() -> (SlideTrainer, Dataset, TrainOptions) {
     let g = serve_geometry();
-    let data = g.data(CORPUS_SEED);
-    let mut trainer = SlideTrainer::new(g.config(Some(g.labels))).expect("valid serving network");
-    trainer.train(&data.train, &g.options(SNAPSHOT_EPOCHS, 1, CORPUS_SEED));
+    let trainer = SlideTrainer::new(g.config(Some(g.labels))).expect("valid serving network");
+    let options = g.options(SNAPSHOT_EPOCHS, 1, CORPUS_SEED);
+    (trainer, g.data(CORPUS_SEED).train, options)
+}
+
+/// Trains the served model. Deterministic.
+pub fn make_snapshot() -> Vec<u8> {
+    let (mut trainer, train, options) = snapshot_training();
+    trainer.train(&train, &options);
     trainer.network().to_snapshot_bytes()
+}
+
+/// The served model for a traced run, trained in process twice: through
+/// `Trainer::train`, then through the traced loop from the same initial
+/// network. Reports the training layers, and fails unless the two
+/// snapshots are byte-identical.
+fn traced_snapshot(out: &mut Outcome) -> Result<Vec<u8>, String> {
+    let (mut trainer, train, options) = snapshot_training();
+    let report = trainer.train(&train, &options);
+    let bytes = trainer.network().to_snapshot_bytes();
+    let (mut traced, _, _) = snapshot_training();
+    let t = traced_train(traced.network_mut(), &train, &options);
+    if traced.network().to_snapshot_bytes() != bytes {
+        return Err("the traced loop trained a different served model".to_string());
+    }
+    report_training_layers(out, &t, &report, &report);
+    Ok(bytes)
 }
 
 /// Runs [`make_snapshot`] in a child process (this binary with
@@ -324,8 +353,12 @@ impl Rung {
     /// Completions per second from the first due time to the last
     /// completion.
     fn achieved_rps(&self) -> f64 {
-        let end = self.samples.iter().map(|s| s.done_s).fold(0.0, f64::max);
-        self.samples.len() as f64 / end
+        self.samples.len() as f64 / self.end_s()
+    }
+
+    /// The last completion, seconds after the first due time.
+    fn end_s(&self) -> f64 {
+        self.samples.iter().map(|s| s.done_s).fold(0.0, f64::max)
     }
 
     /// Meets the SLO: no failed or wrong answers, p99 within the limit,
@@ -352,6 +385,30 @@ impl Rung {
             })
             .collect();
         median(&p99s)
+    }
+
+    /// The rungs at one rate, joined as one: their samples in order, each
+    /// rung's completion times shifted past the end of the ones before,
+    /// so the gaps between them do not count against the achieved rate.
+    fn concat(parts: Vec<Rung>) -> Rung {
+        let rate = parts[0].rate;
+        let (mut samples, mut offset_s) = (Vec::new(), 0.0);
+        for part in parts {
+            let (offset_i, end) = (samples.len(), part.end_s());
+            samples.extend(part.samples.into_iter().map(|s| Sample {
+                index: s.index + offset_i,
+                done_s: s.done_s + offset_s,
+                ..s
+            }));
+            offset_s += end;
+        }
+        let mut latency_us: Vec<f64> = samples.iter().map(|s| s.latency_us).collect();
+        sort(&mut latency_us);
+        Rung {
+            rate,
+            samples,
+            latency_us,
+        }
     }
 
     /// Sorted lateness, µs.
@@ -444,6 +501,49 @@ impl LoadGen<'_> {
         rung
     }
 
+    /// Closed-loop throughput over the first `conns` connections: each
+    /// sends its next request as soon as the last one is answered, for
+    /// `window`. Answered requests per second; every answer is checked.
+    fn closed_window(&mut self, conns: usize, window: Duration) -> f64 {
+        let (first, traffic) = (self.next, self.traffic);
+        let sent = AtomicU64::new(0);
+        let start = Instant::now();
+        let end = start + window;
+        let bad: u64 = std::thread::scope(|scope| {
+            let handles: Vec<_> = self.clients[..conns]
+                .iter_mut()
+                .map(|client| {
+                    let sent = &sent;
+                    scope.spawn(move || {
+                        let mut bad = 0u64;
+                        while Instant::now() < end {
+                            let i = sent.fetch_add(1, Ordering::Relaxed);
+                            let query = traffic.query(first + i);
+                            let right = match client.predict(&traffic.queries[query], None) {
+                                Ok(resp) => matches!(
+                                    resp.predictions.as_slice(),
+                                    [p] if matches(p, &traffic.reference[query])
+                                ),
+                                Err(_) => false,
+                            };
+                            bad += u64::from(!right);
+                        }
+                        bad
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("closed-loop thread panicked"))
+                .sum()
+        });
+        let n = sent.into_inner();
+        self.next += n;
+        self.attempted += n;
+        self.failed += bad;
+        n as f64 / start.elapsed().as_secs_f64()
+    }
+
     /// Measures ladder rung `i`; a rung that misses the SLO is measured
     /// once more, so that one host stall does not decide the knee.
     fn ladder_rung(&mut self, reference: f64, i: i32) -> Rung {
@@ -469,82 +569,23 @@ impl LoadGen<'_> {
     }
 }
 
-/// The highest passing rung.
-#[derive(Debug, Clone, Copy)]
-struct Knee {
-    offered: f64,
-    achieved: f64,
-    p99_us: f64,
-}
-
-impl Knee {
-    fn of(r: &Rung) -> Self {
-        Self {
-            offered: r.rate,
-            achieved: r.achieved_rps(),
-            p99_us: r.p(0.99),
-        }
+/// Climbs the ladder from the reference rate (rung 0, already measured)
+/// and stops at the first rung that fails twice. Returns the achieved
+/// rate and offered rate of the last passing rung, or `None` if the
+/// reference rung failed or the top rung passed (a capped result).
+fn find_knee(load: &mut LoadGen<'_>, reference: f64, at_ref: &Rung) -> Option<(f64, f64)> {
+    if !at_ref.passes() {
+        return None;
     }
-}
-
-/// Finds the highest rung of the ladder that meets the SLO. The p99
-/// curve is flat below saturation and turns up steeply at it, so a
-/// single failing rung on the flat part says little: the search climbs
-/// [`CLIMB`] rungs at a time from the reference rung (rung 0, already
-/// measured) until two climbs in a row fail, then bisects between the
-/// last passing rung and the first failure after it. If nothing at or
-/// above the reference passes, it walks down instead. Returns `None` if
-/// no rung passed or the top of the ladder passed (a capped result).
-fn find_knee(load: &mut LoadGen<'_>, reference: f64, at_ref: &Rung) -> Option<Knee> {
-    let (bottom, top) = (*LADDER_RUNGS.start(), *LADDER_RUNGS.end());
-    let mut lo: Option<(i32, Knee)> = at_ref.passes().then(|| (0, Knee::of(at_ref)));
-    let mut first_fail: Option<i32> = None;
-    let mut i = 0;
-    loop {
-        if i == top {
-            return None;
-        }
-        i = (i + CLIMB).min(top);
+    let mut knee = (at_ref.achieved_rps(), at_ref.rate);
+    for i in 1..=LADDER_TOP {
         let r = load.ladder_rung(reference, i);
-        if r.passes() {
-            lo = Some((i, Knee::of(&r)));
-            first_fail = None;
-        } else if let Some(f) = first_fail {
-            if i >= f + CLIMB {
-                break;
-            }
-        } else {
-            first_fail = Some(i);
+        if !r.passes() {
+            return Some(knee);
         }
+        knee = (r.achieved_rps(), r.rate);
     }
-    let (mut lo, mut hi) = match (lo, first_fail) {
-        (Some(lo), Some(hi)) => (lo, hi),
-        _ => {
-            // Nothing passed at or above the reference rung.
-            let mut hi = 0;
-            loop {
-                if hi == bottom {
-                    return None;
-                }
-                let i = (hi - CLIMB).max(bottom);
-                let r = load.ladder_rung(reference, i);
-                if r.passes() {
-                    break ((i, Knee::of(&r)), hi);
-                }
-                hi = i;
-            }
-        }
-    };
-    while hi - lo.0 > 1 {
-        let mid = (lo.0 + hi) / 2;
-        let r = load.ladder_rung(reference, mid);
-        if r.passes() {
-            lo = (mid, Knee::of(&r));
-        } else {
-            hi = mid;
-        }
-    }
-    Some(lo.1)
+    None
 }
 
 fn sum_stats(servers: &[HttpServer]) -> (u64, u64, f64) {
@@ -576,12 +617,19 @@ fn run_into(
     seconds: u64,
     traced: bool,
 ) -> Result<(), String> {
-    let bytes = snapshot_from_child()?;
+    let bytes = if traced {
+        traced_snapshot(out)?
+    } else {
+        snapshot_from_child()?
+    };
     let full = ServingEngine::from_snapshot_bytes(&bytes, ServeOptions::default())
         .map_err(|e| format!("reference engine: {e}"))?;
     let traffic = Traffic::new(seed, &full)?;
 
-    let idle_poll = IdlePoll::start(nproc())?;
+    // Without the pollers the run still measures, with a noisier tail.
+    let idle_poll = IdlePoll::start(nproc())
+        .map_err(|e| out.detail("idle_pollers", format!("off: {e}")))
+        .ok();
     // Set-up, repeated; the last deployment serves the load.
     let mut setup = Vec::with_capacity(SETUP_REPS);
     let mut deployment = None;
@@ -616,30 +664,39 @@ fn run_into(
 
     let reference = topology.reference_rate();
     load.run(reference, WARMUP_REQUESTS);
-    let before = sum_stats(deployment.servers());
     let n_ref = ((reference * 0.4 * secs) as usize).max(REF_WINDOWS * MIN_RUNG_REQUESTS);
-    let at_ref = load.run(reference, n_ref);
-    let after = sum_stats(deployment.servers());
-    // The latencies and the knee are printed in every run; their spread
-    // on the reference host is too wide to gate on, so they are reported
-    // as unbounded metrics of the traced run, which also runs the ladder.
+    let window = Duration::from_secs_f64(CLOSED_WINDOW_SHARE * secs);
+    let (mut chunks, mut rates_1, mut rates_n) = (Vec::new(), Vec::new(), Vec::new());
+    // Batch counters over the reference-rate requests only.
+    let mut batch = (0u64, 0u64, 0.0f64);
+    for _ in 0..ROUNDS {
+        let before = sum_stats(deployment.servers());
+        chunks.push(load.run(reference, n_ref.div_ceil(ROUNDS)));
+        let after = sum_stats(deployment.servers());
+        batch.0 += after.0 - before.0;
+        batch.1 += after.1 - before.1;
+        batch.2 += after.2 - before.2;
+        rates_1.push(load.closed_window(1, window));
+        rates_n.push(load.closed_window(conns, window));
+    }
+    eprintln!("closed loop, 1 connection: {rates_1:.0?} req/s; {conns}: {rates_n:.0?} req/s");
+    let ex_per_s_1t = median(&rates_1);
+    let ex_per_s = median(&rates_n);
+    let at_ref = Rung::concat(chunks);
+    // The tail and the knee spread too widely on the reference host to
+    // gate: every run prints `p99_us`, and the traced run climbs the
+    // ladder and prints `rps_at_slo`.
     let p50_us = at_ref.p(0.5);
     let p99_us = at_ref.windowed_p99(REF_WINDOWS);
-    out.detail("p50_us", p50_us);
     out.detail("p99_us", p99_us);
-    if traced {
-        out.layer("p50_us", "us", p50_us);
-        out.layer("p99_us", "us", p99_us);
-    }
     if traced && topology.searches_ladder() {
         // A ladder with no passing rung (or a passing top) is a finding
         // about the host or the ladder, not a failed operation: it is
-        // printed, and the unbounded metric is left out.
+        // printed in the knee's place.
         match find_knee(&mut load, reference, &at_ref) {
-            Some(knee) => {
-                out.layer("rps_at_slo", "req/s", knee.achieved);
-                out.detail("knee_offered_rps", knee.offered);
-                out.detail("knee_p99_us", knee.p99_us);
+            Some((achieved, offered)) => {
+                out.detail("rps_at_slo", achieved);
+                out.detail("knee_offered_rps", offered);
             }
             None => out.detail("rps_at_slo", "no rung met the SLO, or the top rung did"),
         }
@@ -657,68 +714,50 @@ fn run_into(
         .count();
     let late = at_ref.lateness_us();
 
+    out.e2e("ex_per_s", "examples/s", ex_per_s);
+    out.e2e("ex_per_s_1t", "examples/s", ex_per_s_1t);
     out.e2e(
         "p_at_1",
         "fraction",
         hits as f64 / at_ref.samples.len() as f64,
     );
+    out.e2e("p50_us", "us", p50_us);
     out.e2e("setup_s", "s", median(&setup));
     out.detail("connections", conns);
     out.detail("reference_rate_rps", reference);
     out.detail("reference_samples", at_ref.samples.len());
 
     if traced {
-        let (d_req, d_batches) = (after.0 - before.0, after.1 - before.1);
-        out.layer(
-            "serve.queue_wait_us",
-            "us",
-            (after.2 - before.2) / d_req as f64 / 1e3,
-        );
-        out.layer(
-            "serve.mean_batch",
-            "requests",
-            d_req as f64 / d_batches as f64,
-        );
-        let (fallbacks, engine_requests) = deployment.servers().iter().fold((0, 0), |(f, r), s| {
-            let st = s.handle().engine().stats();
-            (f + st.dense_fallbacks, r + st.requests)
-        });
-        out.layer(
-            "serve.dense_fallback_frac",
-            "fraction",
-            fallbacks as f64 / engine_requests as f64,
-        );
-        out.layer("client.late_p99_us", "us", quantile(&late, 0.99));
-        let stages = traced_stages(&deployment, &traffic, &full)?;
-        out.layer("serve.parse_us", "us", stages[0]);
-        out.layer("serve.engine_us", "us", stages[1]);
-        out.layer("serve.encode_us", "us", stages[2]);
-        out.layer(
-            "serve.transport_us",
-            "us",
-            p50_us - stages.iter().sum::<f64>(),
-        );
-        out.layer(
-            "serve.retrieval_recall",
-            "fraction",
-            retrieval_recall(&traffic, &full),
-        );
+        let engines: Vec<Arc<ServingEngine>> = deployment
+            .servers()
+            .iter()
+            .map(|s| s.handle().engine())
+            .collect();
+        let engines: Vec<&ServingEngine> = engines.iter().map(|e| &**e).collect();
+        let queries: Vec<&SparseVector> = (0..TRACE_REQUESTS as u64)
+            .map(|i| &traffic.queries[traffic.query(i)])
+            .collect();
+        let stages = report_serving_layers(out, &engines, &full, &queries)?;
+        // The transport, batching, generator and router layers exist on
+        // the serving workloads only; they are printed, not reported.
+        out.detail("serve.transport_us", p50_us - stages.iter().sum::<f64>());
+        out.detail("serve.queue_wait_us", batch.2 / batch.0 as f64 / 1e3);
+        out.detail("serve.mean_batch", batch.0 as f64 / batch.1 as f64);
+        out.detail("client.late_p99_us", quantile(&late, 0.99));
         if let Deployment::Sharded { shards, router } = &deployment {
             let rtt = shard_rtt_us(shards[0].local_addr(), &traffic)?;
-            out.layer("cluster.shard_rtt_us", "us", rtt);
-            out.layer("cluster.router_overhead_x", "ratio", p50_us / rtt);
-            out.layer(
-                "cluster.shard_errors",
-                "count",
-                router.stats().shard_errors as f64,
-            );
+            out.detail("cluster.shard_rtt_us", rtt);
+            out.detail("cluster.router_overhead_x", p50_us / rtt);
+            out.detail("cluster.shard_errors", router.stats().shard_errors);
         }
     }
 
     out.attempted += load.attempted;
     out.failed += load.failed;
     drop(load);
-    idle_poll.stop();
+    if let Some(p) = idle_poll {
+        p.stop();
+    }
     deployment.shutdown();
     out.e2e("peak_rss_mb", "MiB", peak_rss_mib());
     Ok(())
@@ -737,31 +776,67 @@ fn request_bytes(features: &SparseVector) -> Vec<u8> {
     .into_bytes()
 }
 
-/// The traced in-process pass: the request stream through the serving
-/// layers' public functions, one stage at a time. Returns the median
-/// µs of parse (`RequestParser::advance` then `decode_predict_request`),
-/// engine (`predict_batch_k`; for a sharded deployment the slowest
-/// shard engine, since the shards score in parallel) and encode
-/// (`response_from_predictions` then `encode_predict_response`).
-fn traced_stages(
-    deployment: &Deployment,
-    traffic: &Traffic,
+/// The serving layers' per-layer metrics, in process: `queries` through
+/// parse, engine and encode ([`traced_stages`]), the share of `engines`'
+/// requests so far that fell back to dense scoring, and the share of
+/// `full`'s top-1 answers that dense scoring agrees with. Returns the
+/// stage medians.
+fn report_serving_layers(
+    out: &mut Outcome,
+    engines: &[&ServingEngine],
     full: &ServingEngine,
+    queries: &[&SparseVector],
 ) -> Result<[f64; 3], String> {
-    let engines: Vec<Arc<ServingEngine>> = deployment
-        .servers()
-        .iter()
-        .map(|s| s.handle().engine())
-        .collect();
+    let stages = traced_stages(engines, queries, full.default_top_k())?;
+    out.layer("serve.parse_us", "us", stages[0]);
+    out.layer("serve.engine_us", "us", stages[1]);
+    out.layer("serve.encode_us", "us", stages[2]);
+    let (fallbacks, requests) = engines.iter().fold((0, 0), |(f, r), e| {
+        let st = e.stats();
+        (f + st.dense_fallbacks, r + st.requests)
+    });
+    out.layer(
+        "serve.dense_fallback_frac",
+        "fraction",
+        fallbacks as f64 / requests as f64,
+    );
+    out.layer(
+        "serve.retrieval_recall",
+        "fraction",
+        retrieval_recall(full, queries)?,
+    );
+    Ok(stages)
+}
+
+/// [`report_serving_layers`] for the model a training run made: one
+/// engine restored from `snapshot` with default options.
+pub(crate) fn report_trained_model_serving(
+    out: &mut Outcome,
+    snapshot: &[u8],
+    queries: &[&SparseVector],
+) -> Result<(), String> {
+    let engine = ServingEngine::from_snapshot_bytes(snapshot, ServeOptions::default())
+        .map_err(|e| format!("engine from the trained snapshot: {e}"))?;
+    let queries = &queries[..TRACE_REQUESTS.min(queries.len())];
+    report_serving_layers(out, &[&engine], &engine, queries).map(drop)
+}
+
+/// The traced in-process pass: `queries` through the serving layers'
+/// public functions, one stage at a time. Returns the median µs of parse
+/// (`RequestParser::advance` then `decode_predict_request`), engine
+/// (`predict_batch_k` with `default_k` unless the request names one; for
+/// several engines, the shards of one deployment, the slowest, since the
+/// shards score in parallel) and encode (`response_from_predictions`
+/// then `encode_predict_response`).
+fn traced_stages(
+    engines: &[&ServingEngine],
+    queries: &[&SparseVector],
+    default_k: usize,
+) -> Result<[f64; 3], String> {
     let max_body = HttpOptions::default().max_body_bytes;
-    let mut stages = [
-        Vec::with_capacity(TRACE_REQUESTS),
-        Vec::with_capacity(TRACE_REQUESTS),
-        Vec::with_capacity(TRACE_REQUESTS),
-    ];
-    for i in 0..TRACE_REQUESTS as u64 {
-        let query = traffic.query(i);
-        let bytes = request_bytes(&traffic.queries[query]);
+    let mut stages: [Vec<f64>; 3] = std::array::from_fn(|_| Vec::with_capacity(queries.len()));
+    for features in queries {
+        let bytes = request_bytes(features);
         let t0 = Instant::now();
         let mut parser = RequestParser::new(max_body);
         let ParseStatus::Request(req) = parser.advance(&bytes).1 else {
@@ -770,10 +845,10 @@ fn traced_stages(
         let decoded =
             wire::decode_predict_request(&req.body).map_err(|e| format!("traced decode: {e}"))?;
         let parse_s = t0.elapsed().as_secs_f64();
-        let k = decoded.top_k.unwrap_or(full.default_top_k());
+        let k = decoded.top_k.unwrap_or(default_k);
         let mut engine_s = 0.0f64;
         let mut predictions = Vec::new();
-        for engine in &engines {
+        for engine in engines {
             let e0 = Instant::now();
             predictions = engine
                 .predict_batch_k(&decoded.inputs, k)
@@ -791,21 +866,23 @@ fn traced_stages(
     Ok(stages.map(|v| median(&v)))
 }
 
-/// Share of queries whose served top-1 (equal to the in-process engine's,
-/// which every answer was checked against) is the dense argmax.
-fn retrieval_recall(traffic: &Traffic, full: &ServingEngine) -> f64 {
-    let net = full.network();
+/// Share of the first [`RECALL_QUERIES`] of `queries` whose top-1 from
+/// `engine` is the dense argmax (`Network::predict_topk` under
+/// `DenseSelector`).
+fn retrieval_recall(engine: &ServingEngine, queries: &[&SparseVector]) -> Result<f64, String> {
+    let net = engine.network();
     let mut ws = net.workspace(0);
     let mut top = TopK::new(1);
-    let n = RECALL_QUERIES.min(traffic.queries.len());
-    let agree = (0..n as u64)
-        .map(|i| traffic.query(i))
-        .filter(|&q| {
-            net.predict_topk(&DenseSelector, &mut ws, &traffic.queries[q], &mut top);
-            top.top1() == Some(traffic.reference[q][0].0)
-        })
-        .count();
-    agree as f64 / n as f64
+    let queries = &queries[..RECALL_QUERIES.min(queries.len())];
+    let mut agree = 0usize;
+    for &q in queries {
+        let served = engine
+            .predict_batch_k(std::slice::from_ref(q), 1)
+            .map_err(|e| format!("recall predict: {e}"))?;
+        net.predict_topk(&DenseSelector, &mut ws, q, &mut top);
+        agree += usize::from(top.top1() == served[0].topk.items().first().map(|&(c, _)| c));
+    }
+    Ok(agree as f64 / queries.len() as f64)
 }
 
 /// Median round trip of `Client` predicts sent straight to one shard,

@@ -8,14 +8,13 @@ use std::time::Instant;
 
 use slide_core::selector::{ActiveSet, NeuronSelector, SelectionContext, SelectorScratch};
 use slide_core::{
-    hash_layer_input, probe_tables, LshLayerConfig, Network, NetworkConfig, RebuildSchedule,
-    SlideTrainer, TrainOptions, TrainReport,
+    hash_layer_input, probe_tables, LshLayerConfig, LshSelector, Network, NetworkConfig,
+    RebuildSchedule, SlideTrainer, TopK, TrainOptions, TrainReport,
 };
 use slide_data::rng::{mix64, Rng, Xoshiro256PlusPlus};
 use slide_data::synth::{generate, Scale, SyntheticConfig, SyntheticData};
-use slide_data::Dataset;
+use slide_data::{Dataset, SparseVector};
 
-use crate::idle::IdlePoll;
 use crate::report::{nproc, peak_rss_mib, Outcome};
 
 /// Model and corpus shape of a training workload.
@@ -121,7 +120,7 @@ const P_AT_1_FLOOR: f64 = 0.2;
 
 /// `Trainer::new` repetitions beyond the ones the runs need; `setup_s`
 /// is the median over all of them.
-const EXTRA_SETUPS: usize = 3;
+const EXTRA_SETUPS: usize = 8;
 
 /// Wall time spent in each phase of the traced loop, seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -331,7 +330,8 @@ fn mean(sum: f64, n: u64) -> f64 {
 
 /// `Trainer::train_with_eval` with a checkpoint after every epoch, so
 /// each epoch's training seconds (evaluation excluded, table rebuild
-/// included) can be read back. The checkpoint evaluates one example.
+/// included) and mean loss can be read back. The checkpoint evaluates
+/// one example.
 fn train_by_epoch(
     trainer: &mut SlideTrainer,
     data: &SyntheticData,
@@ -342,11 +342,19 @@ fn train_by_epoch(
     trainer.train_with_eval(&data.train, &data.test, &options)
 }
 
-/// Median over epochs of examples per training second: one slow stretch
-/// of the host moves one epoch, not the result.
-fn median_epoch_rate(report: &TrainReport, epoch_examples: usize) -> f64 {
+/// Examples per training second over the whole fixed run (evaluation
+/// excluded, table rebuilds included). The per-epoch rate climbs about
+/// threefold as the tables learn to return smaller active sets, so a
+/// median epoch would read how far training had got, not how fast it
+/// ran.
+fn run_rate(report: &TrainReport) -> f64 {
+    report.telemetry.examples as f64 / report.seconds
+}
+
+/// Examples per training second of each epoch.
+fn epoch_rates(report: &TrainReport, epoch_examples: usize) -> Vec<f64> {
     let mut prev = 0.0;
-    let rates: Vec<f64> = report
+    report
         .history
         .iter()
         .map(|c| {
@@ -354,8 +362,144 @@ fn median_epoch_rate(report: &TrainReport, epoch_examples: usize) -> f64 {
             prev = c.seconds;
             epoch_examples as f64 / dt
         })
+        .collect()
+}
+
+/// Examples of the epochs whose mean loss was not finite: each epoch's
+/// checkpoint carries its mean training loss, and one non-finite example
+/// makes that mean non-finite. A non-finite `final_loss` counts one
+/// epoch even if no checkpoint showed it.
+fn nonfinite_epoch_examples(report: &TrainReport, epoch_examples: usize) -> u64 {
+    let bad_epochs = report
+        .history
+        .iter()
+        .filter(|c| !c.train_loss.is_finite())
+        .count()
+        .max(usize::from(!report.final_loss.is_finite()));
+    (bad_epochs * epoch_examples) as u64
+}
+
+/// Held-out examples predicted one at a time in each round of `p50_us`.
+const PREDICT_EXAMPLES: usize = 2_000;
+/// Measured rounds of `p50_us`, after one warm-up round; `p50_us` is
+/// their median.
+const PREDICT_ROUNDS: usize = 12;
+/// Pause before each round. A round takes about 0.1 s on the reference
+/// host, where one model's round times moved twofold from one second to
+/// the next; spread over several seconds, the median round holds.
+const PREDICT_PAUSE: std::time::Duration = std::time::Duration::from_millis(500);
+
+/// Latency of `Network::predict_topk` under the training selector
+/// (`LshSelector`: hash, probe the tables the run wrote, score the
+/// sampled classes), one held-out example at a time, on `threads`
+/// threads at once. A round's value is each thread's median µs,
+/// averaged over the threads; the result is the median round. One
+/// thread per core measures every core each round; on the reference
+/// host one core is at times much slower than the other, and a lone
+/// thread's median reads whichever core it landed on.
+fn predict_p50_us(network: &Network, test: &Dataset, threads: usize) -> f64 {
+    let n = PREDICT_EXAMPLES.min(test.len());
+    let per_thread: Vec<Vec<f64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut ws = network.workspace(0);
+                    let mut top = TopK::new(1);
+                    let mut latency_us = Vec::with_capacity(n);
+                    let mut rounds = Vec::with_capacity(PREDICT_ROUNDS);
+                    for round in 0..=PREDICT_ROUNDS {
+                        latency_us.clear();
+                        for ex in &test.examples()[..n] {
+                            let t0 = Instant::now();
+                            network.predict_topk(&LshSelector, &mut ws, &ex.features, &mut top);
+                            latency_us.push(t0.elapsed().as_secs_f64() * 1e6);
+                            std::hint::black_box(top.top1());
+                        }
+                        if round > 0 {
+                            rounds.push(crate::stats::median(&latency_us));
+                        }
+                        if round < PREDICT_ROUNDS {
+                            std::thread::sleep(PREDICT_PAUSE);
+                        }
+                    }
+                    rounds
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("predict thread panicked"))
+            .collect()
+    });
+    let rounds: Vec<f64> = (0..PREDICT_ROUNDS)
+        .map(|r| mean(per_thread.iter().map(|t| t[r]).sum(), threads as u64))
         .collect();
-    crate::stats::median(&rates)
+    crate::stats::median(&rounds)
+}
+
+/// `Trainer::train` at one thread, one trainer per core at once, each
+/// over the same corpus and options. One-thread training is
+/// deterministic, so every trainer must end with the same final-loss
+/// bits; a run where they differ is incorrect.
+fn train_one_thread_per_core(
+    trainers: Vec<SlideTrainer>,
+    data: &SyntheticData,
+    options: &TrainOptions,
+) -> Vec<TrainReport> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = trainers
+            .into_iter()
+            .map(|mut trainer| scope.spawn(move || train_by_epoch(&mut trainer, data, options)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("one-thread trainer panicked"))
+            .collect()
+    })
+}
+
+/// The training layers' per-layer metrics: the phases and selector
+/// counters of the traced run `t`, the work counters and thread
+/// utilization of the untraced run `work`, and `t`'s speed against
+/// `untraced`, the untraced one-thread run over the same work.
+pub(crate) fn report_training_layers(
+    out: &mut Outcome,
+    t: &TracedRun,
+    untraced: &TrainReport,
+    work: &TrainReport,
+) {
+    let per_ex = 1.0 / t.examples.max(1) as f64;
+    let tel = &work.telemetry;
+    out.layer("lsh.hash_s", "s", t.phases.hash_s);
+    out.layer("lsh.probe_s", "s", t.phases.probe_s);
+    out.layer("kernels.forward_s", "s", t.phases.forward_s);
+    out.layer("kernels.backward_s", "s", t.phases.backward_s);
+    out.layer("lsh.rebuild_s", "s", t.phases.rebuild_s);
+    out.layer("lsh.rebuilds", "count", t.rebuilds as f64);
+    out.layer(
+        "lsh.active_out_mean",
+        "neurons",
+        t.active_out as f64 * per_ex,
+    );
+    out.layer("lsh.label_recall", "fraction", t.label_hits as f64 * per_ex);
+    out.layer(
+        "kernels.ops_per_ex",
+        "ops/example",
+        tel.compute_ops as f64 / tel.examples as f64,
+    );
+    out.layer(
+        "kernels.bytes_per_ex",
+        "bytes/example",
+        4.0 * tel.weight_touches as f64 / tel.examples as f64,
+    );
+    out.layer("rayon.utilization", "fraction", tel.utilization);
+    out.layer("trace.coverage", "fraction", t.phases.total() / t.seconds);
+    let untraced_rate = untraced.telemetry.examples as f64 / untraced.seconds;
+    out.layer(
+        "trace.overhead",
+        "ratio",
+        t.examples as f64 / t.seconds / untraced_rate,
+    );
 }
 
 fn timed_trainer(config: &NetworkConfig, setup: &mut Vec<f64>) -> SlideTrainer {
@@ -365,27 +509,22 @@ fn timed_trainer(config: &NetworkConfig, setup: &mut Vec<f64>) -> SlideTrainer {
     trainer
 }
 
-/// Runs `train_lsh`. Untraced: `setup_s`, `ex_per_s` and `p_at_1` at
-/// `nproc` threads, `ex_per_s_1t`, `peak_rss_mb`. Traced: additionally
-/// the one-thread traced loop over the same work as the one-thread run.
+/// Runs `train_lsh`. Untraced: `setup_s`; `ex_per_s`, `p_at_1` and
+/// `p50_us` of the `nproc`-thread run; `ex_per_s_1t`; `peak_rss_mb`.
+/// Traced: additionally the serving layers in process on the
+/// `nproc`-thread model, and the one-thread traced loop over the same
+/// work as a one-thread run.
 pub fn run(seed: u64, seconds: u64, traced: bool) -> Outcome {
     let g = Geometry::MEDIUM;
     let mut out = Outcome::default();
     let data = g.data(seed);
     let config = g.config(None);
     let threads = nproc();
-    // Fixed work per run: about 0.65 of the budget at `nproc` threads and
-    // as much again at one thread, on the reference host.
-    let epochs_n = (seconds as usize * 6 / 10).max(2);
-    let epochs_1 = (seconds as usize * 3 / 10).max(2);
+    // Fixed work per run: about the budget at `nproc` threads and as much
+    // again at one thread, on the reference host.
+    let epochs_n = (seconds as usize).max(2);
+    let epochs_1 = (seconds as usize / 2).max(2);
 
-    let idle_poll = match IdlePoll::start(threads) {
-        Ok(p) => p,
-        Err(e) => {
-            out.problems.push(e);
-            return out;
-        }
-    };
     let mut setup = Vec::new();
     for _ in 0..EXTRA_SETUPS {
         drop(timed_trainer(&config, &mut setup));
@@ -394,13 +533,10 @@ pub fn run(seed: u64, seconds: u64, traced: bool) -> Outcome {
     // `nproc` threads: throughput, quality, thread utilization.
     let mut trainer = timed_trainer(&config, &mut setup);
     let report = train_by_epoch(&mut trainer, &data, &g.options(epochs_n, threads, seed));
-    let tel = report.telemetry;
-    let examples = tel.examples;
+    let examples = report.telemetry.examples;
     out.attempted += examples;
-    if !report.final_loss.is_finite() {
-        out.failed += examples;
-    }
-    let ex_per_s = median_epoch_rate(&report, g.train_size);
+    out.failed += nonfinite_epoch_examples(&report, g.train_size);
+    let ex_per_s = run_rate(&report);
     let p_at_1 = trainer.network().evaluate(&data.test, data.test.len());
     if p_at_1 < P_AT_1_FLOOR {
         out.problems.push(format!(
@@ -411,65 +547,69 @@ pub fn run(seed: u64, seconds: u64, traced: bool) -> Outcome {
     out.detail("epochs_nproc", epochs_n);
     out.detail("examples_nproc", examples);
     out.detail("final_loss_nproc", report.final_loss);
+    out.detail(
+        "epoch_rates_nproc",
+        format!("{:.0?}", epoch_rates(&report, g.train_size)),
+    );
     out.detail("test_examples", data.test.len());
+    let p50_us = predict_p50_us(trainer.network(), &data.test, threads);
+    if traced {
+        // The serving layers, in process, on the model this run trained.
+        let queries: Vec<&SparseVector> = data.test.iter().map(|e| &e.features).collect();
+        if let Err(e) = crate::serve::report_trained_model_serving(
+            &mut out,
+            &trainer.network().to_snapshot_bytes(),
+            &queries,
+        ) {
+            out.problems.push(e);
+        }
+    }
     drop(trainer);
 
-    // One thread: the scaling baseline.
-    let mut trainer = timed_trainer(&config, &mut setup);
+    // One thread: the scaling baseline, on every core at once (see
+    // `predict_p50_us` for why), averaged over the cores.
+    let trainers = (0..threads)
+        .map(|_| timed_trainer(&config, &mut setup))
+        .collect();
     let opts_1 = g.options(epochs_1, 1, seed);
-    let report_1 = train_by_epoch(&mut trainer, &data, &opts_1);
-    out.attempted += report_1.telemetry.examples;
-    if !report_1.final_loss.is_finite() {
-        out.failed += report_1.telemetry.examples;
+    let reports_1 = train_one_thread_per_core(trainers, &data, &opts_1);
+    let mut rates_1 = 0.0;
+    for r in &reports_1 {
+        out.attempted += r.telemetry.examples;
+        out.failed += nonfinite_epoch_examples(r, g.train_size);
+        rates_1 += run_rate(r);
     }
-    let ex_per_s_1t = median_epoch_rate(&report_1, g.train_size);
+    let ex_per_s_1t = rates_1 / reports_1.len() as f64;
+    let report_1 = &reports_1[0];
+    if reports_1
+        .iter()
+        .any(|r| r.final_loss.to_bits() != report_1.final_loss.to_bits())
+    {
+        out.problems
+            .push("one-thread trainers on the same input ended apart".to_string());
+    }
     out.detail("epochs_1t", epochs_1);
     out.detail("final_loss_1t", report_1.final_loss);
-    drop(trainer);
+    for r in &reports_1 {
+        out.detail(
+            "epoch_rates_1t",
+            format!("{:.0?}", epoch_rates(r, g.train_size)),
+        );
+    }
 
     if traced {
         let mut trainer = timed_trainer(&config, &mut setup);
         let t = traced_train(trainer.network_mut(), &data.train, &opts_1);
         out.attempted += t.examples;
         out.failed += t.nonfinite;
-        let per_ex = 1.0 / t.examples.max(1) as f64;
-        out.layer("lsh.hash_s", "s", t.phases.hash_s);
-        out.layer("lsh.probe_s", "s", t.phases.probe_s);
-        out.layer("kernels.forward_s", "s", t.phases.forward_s);
-        out.layer("kernels.backward_s", "s", t.phases.backward_s);
-        out.layer("lsh.rebuild_s", "s", t.phases.rebuild_s);
-        out.layer("lsh.rebuilds", "count", t.rebuilds as f64);
-        out.layer(
-            "lsh.active_out_mean",
-            "neurons",
-            t.active_out as f64 * per_ex,
-        );
-        out.layer("lsh.label_recall", "fraction", t.label_hits as f64 * per_ex);
-        out.layer(
-            "kernels.ops_per_ex",
-            "ops/example",
-            tel.compute_ops as f64 / examples as f64,
-        );
-        out.layer(
-            "kernels.bytes_per_ex",
-            "bytes/example",
-            4.0 * tel.weight_touches as f64 / examples as f64,
-        );
-        out.layer("rayon.utilization", "fraction", tel.utilization);
-        out.layer("trace.coverage", "fraction", t.phases.total() / t.seconds);
-        let untraced_1t = report_1.telemetry.examples as f64 / report_1.seconds;
-        out.layer(
-            "trace.overhead",
-            "ratio",
-            t.examples as f64 / t.seconds / untraced_1t,
-        );
+        report_training_layers(&mut out, &t, report_1, &report);
         out.detail("traced_final_loss", t.final_loss);
     }
 
-    idle_poll.stop();
     out.e2e("ex_per_s", "examples/s", ex_per_s);
     out.e2e("ex_per_s_1t", "examples/s", ex_per_s_1t);
     out.e2e("p_at_1", "fraction", p_at_1);
+    out.e2e("p50_us", "us", p50_us);
     out.e2e("setup_s", "s", crate::stats::median(&setup));
     out.e2e("peak_rss_mb", "MiB", peak_rss_mib());
     out.detail("setup_samples", setup.len());

@@ -177,36 +177,87 @@ impl Clone for HogwildArray {
     }
 }
 
-/// A row-major 2-D view over a [`HogwildArray`]: `rows × cols` weights
-/// where row `r` is one neuron's fan-in weight vector.
+/// Which index of a [`HogwildMatrix`] is contiguous in memory.
+///
+/// The logical shape is always `rows × cols` = neurons × fan-in, and
+/// every accessor takes `(neuron, input)`; the order only decides which
+/// slices the fused kernels can take whole.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StorageOrder {
+    /// One neuron's fan-in weights are contiguous (`rows × cols`): the
+    /// unit LSH hashing and per-neuron sparse dots consume.
+    NeuronMajor,
+    /// One input's fan-out weights — every neuron's weight on that input
+    /// — are contiguous (`cols × rows`): a sparse input then touches one
+    /// short row per nonzero feature instead of one cache line per
+    /// neuron per feature.
+    InputMajor,
+}
+
+/// A 2-D view over a [`HogwildArray`]: `rows × cols` weights where row
+/// `r` is one neuron's fan-in weight vector, stored in either
+/// [`StorageOrder`].
 #[derive(Debug, Clone)]
 pub struct HogwildMatrix {
     data: HogwildArray,
     rows: usize,
     cols: usize,
+    order: StorageOrder,
 }
 
 impl HogwildMatrix {
-    /// Allocates a zeroed matrix.
+    /// Allocates a zeroed neuron-major matrix.
     pub fn zeroed(rows: usize, cols: usize) -> Self {
+        Self::zeroed_in(StorageOrder::NeuronMajor, rows, cols)
+    }
+
+    /// Allocates a zeroed matrix stored in `order`.
+    pub fn zeroed_in(order: StorageOrder, rows: usize, cols: usize) -> Self {
         Self {
             data: HogwildArray::zeroed(rows * cols),
             rows,
             cols,
+            order,
         }
     }
 
-    /// Builds from a row-major value slice.
+    /// Builds a neuron-major matrix from a row-major value slice.
     ///
     /// # Panics
     ///
     /// Panics if `values.len() != rows * cols`.
     pub fn from_values(rows: usize, cols: usize, values: &[f32]) -> Self {
+        Self::from_values_in(StorageOrder::NeuronMajor, rows, cols, values)
+    }
+
+    /// Builds a matrix stored in `order` from a **row-major** (neuron-major)
+    /// value slice, transposing it when `order` is input-major.
+    ///
+    /// The transposes here walk the input-major side in memory order, one
+    /// input's fan-out at a time, so that side streams while the
+    /// neuron-major side keeps one cache line per neuron live, reused for
+    /// the 16 inputs it holds: a transpose blocked by the cache line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != rows * cols`.
+    pub fn from_values_in(order: StorageOrder, rows: usize, cols: usize, values: &[f32]) -> Self {
         assert_eq!(values.len(), rows * cols, "shape mismatch");
+        let data = match order {
+            StorageOrder::NeuronMajor => HogwildArray::from_values(values),
+            StorageOrder::InputMajor => {
+                let mut data = Vec::with_capacity(rows * cols);
+                for c in 0..cols {
+                    data.extend((0..rows).map(|r| AtomicU32::new(values[r * cols + c].to_bits())));
+                }
+                HogwildArray { data }
+            }
+        };
         Self {
-            data: HogwildArray::from_values(values),
+            data,
             rows,
             cols,
+            order,
         }
     }
 
@@ -222,11 +273,20 @@ impl HogwildMatrix {
         self.cols
     }
 
-    /// The flat element index of `(row, col)`.
+    /// The storage order.
+    #[inline]
+    pub fn order(&self) -> StorageOrder {
+        self.order
+    }
+
+    /// The flat element index of `(row, col)` in the backing array.
     #[inline]
     pub fn index(&self, row: usize, col: usize) -> usize {
         debug_assert!(row < self.rows && col < self.cols);
-        row * self.cols + col
+        match self.order {
+            StorageOrder::NeuronMajor => row * self.cols + col,
+            StorageOrder::InputMajor => col * self.rows + row,
+        }
     }
 
     /// Relaxed load of `(row, col)`.
@@ -248,23 +308,90 @@ impl HogwildMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `row >= rows`.
+    /// Panics if the matrix is input-major or `row >= rows`.
     #[inline]
     pub fn row(&self, row: usize) -> &[AtomicU32] {
+        assert!(
+            self.order == StorageOrder::NeuronMajor,
+            "row() needs a neuron-major matrix"
+        );
         self.data.atomic_slice(row * self.cols, self.cols)
     }
 
-    /// Copies row `row` into `out` (`out.len()` must equal `cols`).
+    /// Column `col`'s cells — input `col`'s weight on every neuron — as an
+    /// atomic slice of length `rows`, under the same access protocol as
+    /// [`HogwildMatrix::row`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is neuron-major or `col >= cols`.
+    #[inline]
+    pub fn input_row(&self, col: usize) -> &[AtomicU32] {
+        assert!(
+            self.order == StorageOrder::InputMajor,
+            "input_row() needs an input-major matrix"
+        );
+        self.data.atomic_slice(col * self.rows, self.rows)
+    }
+
+    /// Copies row `row` into `out` (`out.len()` must equal `cols`); a
+    /// strided gather when the matrix is input-major.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatch.
     pub fn read_row_into(&self, row: usize, out: &mut [f32]) {
         assert_eq!(out.len(), self.cols, "row buffer size mismatch");
-        self.data.read_into(row * self.cols, out);
+        match self.order {
+            StorageOrder::NeuronMajor => self.data.read_into(row * self.cols, out),
+            StorageOrder::InputMajor => {
+                for (c, o) in out.iter_mut().enumerate() {
+                    *o = self.get(row, c);
+                }
+            }
+        }
     }
 
-    /// The backing flat array.
+    /// Every element in row-major (neuron-major) order, whatever the
+    /// storage order: the layout snapshots put on disk.
+    pub fn to_neuron_major(&self) -> Vec<f32> {
+        match self.order {
+            StorageOrder::NeuronMajor => self.data.to_vec(),
+            StorageOrder::InputMajor => {
+                let (rows, cols) = (self.rows, self.cols);
+                let mut out = vec![0.0f32; rows * cols];
+                for c in 0..cols {
+                    for r in 0..rows {
+                        out[r * cols + c] = self.data.get(c * rows + r);
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// Overwrites every element from a row-major (neuron-major) slice,
+    /// whatever the storage order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != rows * cols`.
+    pub fn copy_from_neuron_major(&self, values: &[f32]) {
+        assert_eq!(values.len(), self.rows * self.cols, "length mismatch");
+        match self.order {
+            StorageOrder::NeuronMajor => self.data.copy_from(values),
+            StorageOrder::InputMajor => {
+                let (rows, cols) = (self.rows, self.cols);
+                for c in 0..cols {
+                    for r in 0..rows {
+                        self.data.set(c * rows + r, values[r * cols + c]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The backing flat array, in storage order.
     #[inline]
     pub fn flat(&self) -> &HogwildArray {
         &self.data
@@ -382,6 +509,76 @@ mod tests {
             slide_kernels::fused::read(&m.flat().atomic_slice(3, 1)[0]),
             -4.5
         );
+    }
+
+    /// A neuron-major `rows × cols` value grid with distinct entries.
+    fn grid(rows: usize, cols: usize) -> Vec<f32> {
+        (0..rows * cols).map(|k| k as f32 * 0.5 - 7.0).collect()
+    }
+
+    #[test]
+    fn accessors_mean_neuron_input_in_both_orders() {
+        let (rows, cols) = (37, 70);
+        let values = grid(rows, cols);
+        for order in [StorageOrder::NeuronMajor, StorageOrder::InputMajor] {
+            let m = HogwildMatrix::from_values_in(order, rows, cols, &values);
+            assert_eq!(m.order(), order);
+            assert_eq!((m.rows(), m.cols()), (rows, cols));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(m.get(r, c), values[r * cols + c], "{order:?} ({r},{c})");
+                    assert_eq!(m.flat().get(m.index(r, c)), m.get(r, c));
+                }
+            }
+            let mut row = vec![0.0f32; cols];
+            m.read_row_into(5, &mut row);
+            assert_eq!(row, values[5 * cols..6 * cols]);
+            m.set(36, 69, 123.0);
+            assert_eq!(m.get(36, 69), 123.0);
+            m.read_row_into(36, &mut row);
+            assert_eq!(row[69], 123.0);
+        }
+    }
+
+    #[test]
+    fn neuron_major_round_trip_is_exact_in_both_orders() {
+        let (rows, cols) = (33, 65);
+        let values = grid(rows, cols);
+        let a = HogwildMatrix::from_values_in(StorageOrder::NeuronMajor, rows, cols, &values);
+        let b = HogwildMatrix::from_values_in(StorageOrder::InputMajor, rows, cols, &values);
+        assert_eq!(a.to_neuron_major(), values);
+        assert_eq!(b.to_neuron_major(), values);
+        // Input-major storage really is transposed.
+        assert_eq!(b.flat().get(1), values[cols]);
+        let reversed: Vec<f32> = values.iter().rev().copied().collect();
+        b.copy_from_neuron_major(&reversed);
+        assert_eq!(b.to_neuron_major(), reversed);
+        assert_eq!(b.get(0, 0), reversed[0]);
+    }
+
+    #[test]
+    fn input_rows_hold_one_inputs_fan_out() {
+        let m = HogwildMatrix::from_values_in(StorageOrder::InputMajor, 3, 2, &grid(3, 2));
+        let col = m.input_row(1);
+        assert_eq!(col.len(), 3);
+        for (r, cell) in col.iter().enumerate() {
+            assert_eq!(slide_kernels::fused::read(cell), m.get(r, 1));
+        }
+        slide_kernels::fused::write(&col[2], 9.5);
+        assert_eq!(m.get(2, 1), 9.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "row() needs a neuron-major matrix")]
+    fn neuron_rows_refused_on_input_major() {
+        let m = HogwildMatrix::zeroed_in(StorageOrder::InputMajor, 2, 2);
+        let _ = m.row(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "input_row() needs an input-major matrix")]
+    fn input_rows_refused_on_neuron_major() {
+        let _ = HogwildMatrix::zeroed(2, 2).input_row(0);
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //! highest-scoring classes without cloning the activation vector or
 //! allocating per example.
 
+use slide_kernels::ops::prefetch_slice;
+use slide_kernels::KernelMode;
 use slide_lsh::retrieve::{retrieve_union, QueryBudget};
 
+use crate::layer::Layer;
 use crate::network::{Network, Workspace};
 use crate::quant::QuantizedRows;
 use crate::selector::{ActiveSet, NeuronSelector, SelectionContext, SelectorScratch};
@@ -289,14 +292,7 @@ impl Network {
         for (e, x) in batch.iter().enumerate() {
             let x = x.borrow();
             self.forward_prefix(last, selector, ws, x, None);
-            let hidden_active = ws.active_set(last - 1);
-            let dense_identity = hidden_active.len() == h
-                && hidden_active
-                    .ids()
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &id)| id as usize == i);
-            if !dense_identity {
+            if !ws.active_set(last - 1).is_dense(h) {
                 return self.predict_topk_batch_fallback(selector, ws, batch, outs);
             }
             scratch.hidden[e * h..(e + 1) * h].copy_from_slice(ws.activations(last - 1));
@@ -332,7 +328,13 @@ impl Network {
         scratch.ids.extend(0..h as u32);
         scratch.z.clear();
         scratch.z.resize(scratch.union.len() * b, 0.0);
+        let prefetch = mode == KernelMode::Vectorized;
         for (ci, &c) in scratch.union.iter().enumerate() {
+            if prefetch {
+                if let Some(&next) = scratch.union.get(ci + 1) {
+                    prefetch_output_row(out_layer, qout, next as usize);
+                }
+            }
             let z = &mut scratch.z[ci * b..(ci + 1) * b];
             let bias = out_layer.biases().get(c as usize);
             match qout {
@@ -383,6 +385,9 @@ impl Network {
             out.reset(out.k());
             let mut z1 = [0.0f32; 1];
             for c in 0..units {
+                if prefetch && c + 1 < units {
+                    prefetch_output_row(out_layer, qout, c + 1);
+                }
                 let bias = out_layer.biases().get(c);
                 match qout {
                     Some(q) => slide_kernels::dot_batch_q16(
@@ -462,6 +467,17 @@ impl Network {
             candidates: 0,
             dense_examples,
         }
+    }
+}
+
+/// Prefetches all of output row `c` the fused scorer reads next: the i16
+/// codes when `qout` is given, the f32 weight row otherwise (hint only,
+/// so scores are unaffected).
+#[inline]
+fn prefetch_output_row(out_layer: &Layer, qout: Option<&QuantizedRows>, c: usize) {
+    match qout {
+        Some(q) => prefetch_slice(q.row(c)),
+        None => prefetch_slice(out_layer.weights().row(c)),
     }
 }
 

@@ -2,6 +2,7 @@
 
 use rayon::prelude::*;
 use slide_data::rng::{Rng, Xoshiro256PlusPlus};
+use slide_kernels::ops::prefetch_slice;
 use slide_kernels::{adam_step, AdamParams, KernelMode};
 use slide_lsh::dwta::DwtaHash;
 use slide_lsh::family::HashFamily;
@@ -12,7 +13,7 @@ use slide_lsh::wta::WtaHash;
 use slide_lsh::SamplingStrategy;
 
 use crate::config::{Activation, FamilySpec, LayerConfig, LshLayerConfig};
-use crate::hogwild::{HogwildArray, HogwildMatrix};
+use crate::hogwild::{HogwildArray, HogwildMatrix, StorageOrder};
 use crate::schedule::RebuildState;
 
 /// Per-layer scratch reused across table rebuilds so the scheduled
@@ -92,6 +93,10 @@ impl LayerLsh {
 
 /// A fully connected layer: `units` neurons over `fan_in` inputs, with
 /// HOGWILD-shared weights, Adam moments and optional [`LayerLsh`].
+///
+/// The weights and their Adam moments share one [`StorageOrder`], fixed
+/// by the layer's role ([`Layer::storage_order`]): input-major for a
+/// dense hidden layer over the sparse features, neuron-major otherwise.
 #[derive(Debug)]
 pub struct Layer {
     units: usize,
@@ -110,15 +115,33 @@ pub struct Layer {
 }
 
 impl Layer {
-    /// Builds the layer with Glorot-uniform weights and, if configured,
-    /// its LSH family and (initially built) hash tables.
+    /// The storage order of layer `index` in a `num_layers`-layer network.
+    ///
+    /// Input-major exactly when the layer reads the sparse feature vector
+    /// (`index == 0`), has no LSH tables and is not the output layer. Its
+    /// forward then touches one contiguous `units`-long row per nonzero
+    /// feature instead of one cache line per neuron per feature, and so
+    /// does its Adam update. LSH layers hash whole neuron rows and the
+    /// output layer is scored per candidate neuron, so both stay
+    /// neuron-major.
+    pub fn storage_order(index: usize, num_layers: usize, config: &LayerConfig) -> StorageOrder {
+        if index == 0 && index + 1 < num_layers && config.lsh.is_none() {
+            StorageOrder::InputMajor
+        } else {
+            StorageOrder::NeuronMajor
+        }
+    }
+
+    /// Builds the layer with Glorot-uniform weights stored in `order` and,
+    /// if configured, its LSH family and (initially built) hash tables.
     pub(crate) fn new(
         fan_in: usize,
         config: &LayerConfig,
         kernel_mode: KernelMode,
+        order: StorageOrder,
         rng: &mut Xoshiro256PlusPlus,
     ) -> Self {
-        Self::new_with_init_draws(fan_in, config, kernel_mode, rng, config.units)
+        Self::new_with_init_draws(fan_in, config, kernel_mode, order, rng, config.units)
     }
 
     /// [`Layer::new`] advancing `rng` as if the layer had `init_units`
@@ -132,6 +155,7 @@ impl Layer {
         fan_in: usize,
         config: &LayerConfig,
         kernel_mode: KernelMode,
+        order: StorageOrder,
         rng: &mut Xoshiro256PlusPlus,
         init_units: usize,
     ) -> Self {
@@ -145,7 +169,9 @@ impl Layer {
         for _ in units * fan_in..init_units * fan_in {
             rng.next_f32();
         }
-        let weights = HogwildMatrix::from_values(units, fan_in, &values);
+        // Drawn neuron-major in every order, so the RNG stream (and hence
+        // every later draw) does not depend on the layout.
+        let weights = HogwildMatrix::from_values_in(order, units, fan_in, &values);
         let biases = HogwildArray::zeroed(units);
         let lsh = config.lsh.as_ref().map(|cfg| {
             let family = build_family(cfg, fan_in, rng);
@@ -172,8 +198,8 @@ impl Layer {
             activation: config.activation,
             weights,
             biases,
-            w_m: HogwildMatrix::zeroed(units, fan_in),
-            w_v: HogwildMatrix::zeroed(units, fan_in),
+            w_m: HogwildMatrix::zeroed_in(order, units, fan_in),
+            w_v: HogwildMatrix::zeroed_in(order, units, fan_in),
             b_m: HogwildArray::zeroed(units),
             b_v: HogwildArray::zeroed(units),
             lsh: None,
@@ -216,6 +242,13 @@ impl Layer {
         self.kernel_mode
     }
 
+    /// Whether the weights are stored input-major (see
+    /// [`Layer::storage_order`]).
+    #[inline]
+    pub fn is_input_major(&self) -> bool {
+        self.weights.order() == StorageOrder::InputMajor
+    }
+
     /// The weight matrix (`units × fan_in`).
     pub fn weights(&self) -> &HogwildMatrix {
         &self.weights
@@ -242,6 +275,78 @@ impl Layer {
             self.biases.get(j as usize),
             mode,
         )
+    }
+
+    /// Pre-activations of **every** neuron of an input-major layer for a
+    /// sparse input `(ids, vals)`: `z` (length `units`) starts at the
+    /// biases, then one [`slide_kernels::axpy_row`] per nonzero feature
+    /// adds that feature's contiguous weight row. Each `z[j]` is the
+    /// sequential sum [`Layer::neuron_z`] computes in `Scalar` mode, bit
+    /// for bit, in both modes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer is neuron-major or `z.len() != units`.
+    pub(crate) fn forward_input_major(
+        &self,
+        ids: &[u32],
+        vals: &[f32],
+        z: &mut [f32],
+        mode: KernelMode,
+    ) {
+        self.biases.read_into(0, z);
+        for (k, (&i, &v)) in ids.iter().zip(vals).enumerate() {
+            if mode == KernelMode::Vectorized {
+                if let Some(&next) = ids.get(k + 1) {
+                    prefetch_slice(self.weights.input_row(next as usize));
+                }
+            }
+            slide_kernels::axpy_row(v, self.weights.input_row(i as usize), z, mode);
+        }
+    }
+
+    /// Backward's HOGWILD Adam update of an input-major layer: for each
+    /// sparse input `(ids[k], vals[k])`, one fused
+    /// [`slide_kernels::adam_step_gather`] over that input's `w/m/v` rows
+    /// with `units`/`deltas` (the neurons with a nonzero error signal) as
+    /// the gathered lanes and the input value as the scalar. Every weight
+    /// gets the Adam step with gradient `value · delta` that
+    /// [`Layer::update_row`] gives it neuron-major (`d·v` and `v·d` are
+    /// the same bits).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn update_input_major(
+        &self,
+        ids: &[u32],
+        vals: &[f32],
+        units: &[u32],
+        deltas: &[f32],
+        adam: &AdamParams,
+        clr: f32,
+        mode: KernelMode,
+    ) {
+        for (k, (&i, &v)) in ids.iter().zip(vals).enumerate() {
+            if mode == KernelMode::Vectorized {
+                if let Some(&next) = ids.get(k + 1) {
+                    let next = next as usize;
+                    prefetch_slice(self.weights.input_row(next));
+                    prefetch_slice(self.w_m.input_row(next));
+                    prefetch_slice(self.w_v.input_row(next));
+                }
+            }
+            let i = i as usize;
+            slide_kernels::adam_step_gather(
+                self.weights.input_row(i),
+                self.w_m.input_row(i),
+                self.w_v.input_row(i),
+                units,
+                deltas,
+                v,
+                None,
+                adam,
+                clr,
+                mode,
+            );
+        }
     }
 
     /// Prefetches the start of neuron `j`'s weight row (software
@@ -561,7 +666,13 @@ mod tests {
             lsh,
         };
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-        Layer::new(fan_in, &cfg, KernelMode::Vectorized, &mut rng)
+        Layer::new(
+            fan_in,
+            &cfg,
+            KernelMode::Vectorized,
+            StorageOrder::NeuronMajor,
+            &mut rng,
+        )
     }
 
     #[test]

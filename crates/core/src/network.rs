@@ -36,6 +36,13 @@ pub struct Workspace {
     pub(crate) acts: Vec<Vec<f32>>,
     /// Error signal per active neuron, parallel to `active`.
     pub(crate) deltas: Vec<Vec<f32>>,
+    /// Every neuron's pre-activation, for an input-major layer whose
+    /// active set is not the dense identity.
+    pub(crate) all_z: Vec<f32>,
+    /// The active neurons with a nonzero error signal, and those signals:
+    /// the lanes of an input-major layer's Adam sweep.
+    pub(crate) live_ids: Vec<u32>,
+    pub(crate) live_deltas: Vec<f32>,
     /// Selection state (hash-code buffers, sampler scratch, RNG).
     pub(crate) scratch: SelectorScratch,
 }
@@ -178,8 +185,15 @@ impl Network {
         let mut rng = slide_data::rng::Xoshiro256PlusPlus::seed_from_u64(config.seed);
         let mut layers = Vec::with_capacity(config.layers.len());
         let mut fan_in = config.input_dim;
-        for layer_cfg in &config.layers {
-            layers.push(Layer::new(fan_in, layer_cfg, config.kernel_mode, &mut rng));
+        let num_layers = config.layers.len();
+        for (li, layer_cfg) in config.layers.iter().enumerate() {
+            layers.push(Layer::new(
+                fan_in,
+                layer_cfg,
+                config.kernel_mode,
+                Layer::storage_order(li, num_layers, layer_cfg),
+                &mut rng,
+            ));
             fan_in = layer_cfg.units;
         }
         Ok(Self {
@@ -215,6 +229,7 @@ impl Network {
                 fan_in,
                 layer_cfg,
                 config.kernel_mode,
+                Layer::storage_order(li, last + 1, layer_cfg),
                 &mut rng,
                 init_units,
             ));
@@ -293,6 +308,9 @@ impl Network {
             active: vec![ActiveSet::new(); n],
             acts: vec![Vec::new(); n],
             deltas: vec![Vec::new(); n],
+            all_z: Vec::new(),
+            live_ids: Vec::new(),
+            live_deltas: Vec::new(),
             scratch: SelectorScratch::new(&self.layers, seed),
         }
     }
@@ -342,22 +360,36 @@ impl Network {
         ws.active[l] = active;
     }
 
-    /// Computes `ws.acts[l]` over the already-selected `ws.active[l]`:
-    /// one fused [`slide_kernels::gather_dot`] per active neuron (next
-    /// row prefetched in vectorized mode), then the nonlinearity.
+    /// Computes `ws.acts[l]` over the already-selected `ws.active[l]`,
+    /// then applies the nonlinearity. A neuron-major layer runs one fused
+    /// [`slide_kernels::gather_dot`] per active neuron (next row
+    /// prefetched in vectorized mode). An input-major layer accumulates
+    /// every neuron at once, one [`slide_kernels::axpy_row`] per nonzero
+    /// feature, and gathers the active neurons when the set is not dense.
     pub(crate) fn compute_layer(&self, l: usize, ws: &mut Workspace, features: &SparseVector) {
         let layer = &self.layers[l];
         let active = std::mem::take(&mut ws.active[l]);
         let mut acts = std::mem::take(&mut ws.acts[l]);
         acts.clear();
         acts.resize(active.len(), 0.0);
-        {
+        let mode = self.config.kernel_mode;
+        if layer.is_input_major() {
+            let (ids, vals) = (features.indices(), features.values());
+            if active.is_dense(layer.units()) {
+                layer.forward_input_major(ids, vals, &mut acts, mode);
+            } else {
+                ws.all_z.resize(layer.units(), 0.0);
+                layer.forward_input_major(ids, vals, &mut ws.all_z, mode);
+                for (a, &j) in acts.iter_mut().zip(active.ids()) {
+                    *a = ws.all_z[j as usize];
+                }
+            }
+        } else {
             let (prev_ids, prev_vals): (&[u32], &[f32]) = if l == 0 {
                 (features.indices(), features.values())
             } else {
                 (ws.active[l - 1].ids(), &ws.acts[l - 1])
             };
-            let mode = self.config.kernel_mode;
             for (slot, &j) in active.ids().iter().enumerate() {
                 if mode == slide_kernels::KernelMode::Vectorized {
                     if let Some(&next) = active.ids().get(slot + 1) {
@@ -368,10 +400,8 @@ impl Network {
             }
         }
         match layer.activation() {
-            Activation::Relu => slide_kernels::relu_in_place(&mut acts, self.config.kernel_mode),
-            Activation::Softmax => {
-                slide_kernels::softmax_in_place(&mut acts, self.config.kernel_mode)
-            }
+            Activation::Relu => slide_kernels::relu_in_place(&mut acts, mode),
+            Activation::Softmax => slide_kernels::softmax_in_place(&mut acts, mode),
         }
         ws.active[l] = active;
         ws.acts[l] = acts;
@@ -495,12 +525,38 @@ impl Network {
                 prev_delta.resize(prev_ids.len(), 0.0);
             }
 
+            let mode = self.config.kernel_mode;
+            let active_ids = ws.active[l].ids();
+            if layer.is_input_major() {
+                // Input-major (layer 0, so no message to send down): the
+                // neurons with a nonzero error signal become the lanes of
+                // one fused Adam sweep per feature row. Zero-delta neurons
+                // are skipped exactly as below, biases included.
+                ws.live_ids.clear();
+                ws.live_deltas.clear();
+                for (&j, &d) in active_ids.iter().zip(delta_l) {
+                    if d != 0.0 {
+                        layer.update_bias(j, d, adam, corrected_lr);
+                        ws.live_ids.push(j);
+                        ws.live_deltas.push(d);
+                    }
+                }
+                layer.update_input_major(
+                    prev_ids,
+                    prev_vals,
+                    &ws.live_ids,
+                    &ws.live_deltas,
+                    adam,
+                    corrected_lr,
+                    mode,
+                );
+                continue;
+            }
+
             // One fused sweep per active neuron: gather the row's
             // pre-update weights for the error message to layer l−1 and
             // apply the Adam step in the same pass (loads w/m/v once per
             // touched weight instead of the old per-pair accessor loop).
-            let mode = self.config.kernel_mode;
-            let active_ids = ws.active[l].ids();
             for (slot, &j) in active_ids.iter().enumerate() {
                 let d = delta_l[slot];
                 if d == 0.0 {
@@ -890,6 +946,88 @@ mod tests {
         let covered = InferenceSelector::new(QueryBudget::all());
         net.forward(&covered, &mut ws, &x, None);
         assert!(ws.active_counts()[1] >= sparse_count);
+    }
+
+    #[test]
+    fn only_a_dense_hidden_layer_over_features_is_input_major() {
+        use crate::hogwild::StorageOrder;
+        let orders = |net: &Network| -> Vec<StorageOrder> {
+            net.layers().iter().map(|l| l.weights().order()).collect()
+        };
+        // The paper's shape: dense hidden over the features, LSH output.
+        assert_eq!(
+            orders(&tiny_network(true, 41)),
+            [StorageOrder::InputMajor, StorageOrder::NeuronMajor]
+        );
+        // An LSH hidden layer hashes whole neuron rows.
+        let hidden_lsh = NetworkConfig::builder(64, 40)
+            .hidden_lsh(16, LshLayerConfig::simhash(3, 4))
+            .build()
+            .unwrap();
+        assert_eq!(
+            orders(&Network::new(hidden_lsh).unwrap()),
+            [StorageOrder::NeuronMajor, StorageOrder::NeuronMajor]
+        );
+        // A single layer is the output layer.
+        let single = NetworkConfig::builder(64, 40).build().unwrap();
+        assert_eq!(
+            orders(&Network::new(single).unwrap()),
+            [StorageOrder::NeuronMajor]
+        );
+    }
+
+    /// Activates every other hidden neuron, everything on the output.
+    #[derive(Debug)]
+    struct EvenHidden;
+
+    impl NeuronSelector for EvenHidden {
+        fn name(&self) -> &'static str {
+            "even-hidden"
+        }
+
+        fn select(
+            &self,
+            ctx: &SelectionContext<'_>,
+            _scratch: &mut SelectorScratch,
+            active: &mut ActiveSet,
+        ) {
+            let units = ctx.layer.units() as u32;
+            let step = if ctx.is_output { 1 } else { 2 };
+            for j in (0..units).step_by(step) {
+                active.push(j);
+            }
+        }
+    }
+
+    #[test]
+    fn input_major_layer_gathers_a_sparse_active_set() {
+        let net = tiny_network(false, 43);
+        assert!(net.layers()[0].is_input_major());
+        let (x, y) = example(44);
+        let mut dense = net.workspace(1);
+        net.forward(&DenseSelector, &mut dense, &x, Some(&y));
+        let mut sparse = net.workspace(1);
+        net.forward(&EvenHidden, &mut sparse, &x, Some(&y));
+        assert_eq!(sparse.active_set(0).len(), 8);
+        for (slot, &j) in sparse.active_set(0).ids().iter().enumerate() {
+            assert_eq!(
+                sparse.activations(0)[slot].to_bits(),
+                dense.activations(0)[j as usize].to_bits(),
+                "hidden neuron {j}"
+            );
+        }
+        // Backward over the sparse set moves only active neurons' weights.
+        let feature = x.indices()[0] as usize;
+        let before: Vec<f32> = (0..16)
+            .map(|j| net.layers()[0].weights().get(j, feature))
+            .collect();
+        let clr = net.begin_step();
+        net.backward(&mut sparse, &x, &y, clr);
+        for (j, &b) in before.iter().enumerate() {
+            if j % 2 == 1 {
+                assert_eq!(net.layers()[0].weights().get(j, feature), b, "inactive {j}");
+            }
+        }
     }
 
     #[test]

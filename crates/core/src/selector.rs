@@ -73,6 +73,12 @@ impl ActiveSet {
         self.ids.extend(0..units as u32);
     }
 
+    /// Whether the set is the dense identity `0, 1, …, units − 1`, the
+    /// order [`ActiveSet::fill_dense`] produces.
+    pub fn is_dense(&self, units: usize) -> bool {
+        self.ids.len() == units && self.ids.iter().enumerate().all(|(i, &id)| id as usize == i)
+    }
+
     /// The underlying vector, for selector implementations that fill it
     /// through APIs taking `&mut Vec<u32>` (e.g. [`sample`]).
     pub fn as_vec_mut(&mut self) -> &mut Vec<u32> {

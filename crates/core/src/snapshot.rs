@@ -389,11 +389,13 @@ fn write_with(network: &Network, quantize_output: bool) -> Vec<u8> {
                 e.i16(c);
             }
         } else {
-            let w = layer.weights().flat();
+            // On disk every layer is neuron-major, whatever its storage
+            // order in memory.
+            let w = layer.weights().to_neuron_major();
             e.u8(ENC_F32);
             e.u64(w.len() as u64);
-            for i in 0..w.len() {
-                e.f32(w.get(i));
+            for &v in &w {
+                e.f32(v);
             }
         }
         let b = layer.biases();
@@ -574,7 +576,7 @@ fn decode_layer_params(
     match enc {
         ENC_F32 => {
             let n_w = d.usize()?;
-            if n_w != layer.weights().flat().len() {
+            if n_w != layer.units() * layer.fan_in() {
                 return Err(SnapshotError::Corrupt("weight count mismatch"));
             }
             values.clear();
@@ -582,7 +584,7 @@ fn decode_layer_params(
             for _ in 0..n_w {
                 values.push(d.f32()?);
             }
-            layer.weights().flat().copy_from(values);
+            layer.weights().copy_from_neuron_major(values);
         }
         ENC_Q16 => {
             let count = d.usize()?;
@@ -1191,7 +1193,7 @@ pub fn read_slice(bytes: &[u8], center_rows: Option<bool>) -> Result<LoadedSlice
             for i in 0..n * fan_in {
                 values.push(f32_at(part.rows, i));
             }
-            out.weights().flat().copy_from(&values);
+            out.weights().copy_from_neuron_major(&values);
         }
         values.clear();
         for j in 0..n {
@@ -1414,6 +1416,28 @@ mod tests {
     }
 
     #[test]
+    fn weights_go_to_disk_neuron_major_in_every_storage_order() {
+        let net = trained_network();
+        let hidden = net.layers()[0].weights();
+        assert_eq!(hidden.order(), crate::hogwild::StorageOrder::InputMajor);
+        let bytes = net.to_snapshot_bytes();
+        let mut section = vec![ENC_F32];
+        section.extend_from_slice(&((hidden.rows() * hidden.cols()) as u64).to_le_bytes());
+        for j in 0..hidden.rows() {
+            for i in 0..hidden.cols() {
+                section.extend_from_slice(&hidden.get(j, i).to_le_bytes());
+            }
+        }
+        assert!(
+            bytes.windows(section.len()).any(|w| w == section),
+            "the input-major layer's weights are not on disk neuron-major"
+        );
+        // Decoding back into input-major storage and re-encoding is exact.
+        let restored = Network::from_snapshot_bytes(&bytes).unwrap();
+        assert_eq!(restored.to_snapshot_bytes(), bytes);
+    }
+
+    #[test]
     fn restored_tables_reflect_restored_weights() {
         let net = trained_network();
         let restored = Network::from_snapshot_bytes(&net.to_snapshot_bytes()).unwrap();
@@ -1630,10 +1654,10 @@ mod tests {
         e.u32(1);
         encode_config(&mut e, net.config());
         for layer in net.layers() {
-            let w = layer.weights().flat();
+            let w = layer.weights().to_neuron_major();
             e.u64(w.len() as u64);
-            for i in 0..w.len() {
-                e.f32(w.get(i));
+            for &v in &w {
+                e.f32(v);
             }
             let b = layer.biases();
             e.u64(b.len() as u64);

@@ -31,10 +31,12 @@
 //! per-element atomic accesses — the bit-reproducible reference that
 //! `tests/equivalence.rs` pins.
 //!
-//! Three fused ops cover the training/inference hot loops:
+//! Four fused ops cover the training/inference hot loops:
 //!
 //! * [`gather_dot`] — `init + Σᵢ row[ids[i]]·vals[i]`, the per-neuron
 //!   pre-activation for sparse inputs (forward pass, candidate scoring);
+//! * [`axpy_row`] — `y += v · row`, one input's contribution to every
+//!   neuron of an input-major layer (forward pass over sparse features);
 //! * [`gather_dot_batch`] — one weight row scored against several
 //!   examples that share an id list, loading each weight once per
 //!   register block (batched serving);
@@ -193,6 +195,56 @@ pub fn gather_dot(
                 z += unsafe { *rp.add(ids[i] as usize) } * vals[i];
             }
             z
+        }
+    }
+}
+
+/// HOGWILD-row AXPY: `y[k] += alpha · row[k]` for every `k`.
+///
+/// The forward kernel of an input-major layer: `row` is one input's
+/// weight on every neuron and `alpha` that input's value, so one call per
+/// nonzero feature accumulates all pre-activations, each seeded with its
+/// bias. Both modes multiply then add — never FMA — so every `y[k]` sees
+/// the strict sequential `((b + w₀v₀) + w₁v₁) + …` that [`gather_dot`]'s
+/// `Scalar` mode computes for a neuron-major row, bit for bit. `Scalar`
+/// is the per-cell atomic loop; `Vectorized` runs 8-lane blocks over the
+/// raw view (AVX when available), the same per-lane arithmetic.
+///
+/// # Panics
+///
+/// Panics if `row` and `y` lengths differ.
+pub fn axpy_row(alpha: f32, row: &[AtomicU32], y: &mut [f32], mode: KernelMode) {
+    assert_eq!(row.len(), y.len(), "axpy_row: length mismatch");
+    match mode {
+        KernelMode::Scalar => {
+            for (yk, cell) in y.iter_mut().zip(row) {
+                *yk += read(cell) * alpha;
+            }
+        }
+        KernelMode::Vectorized => {
+            let rp = raw(row) as *const f32;
+
+            #[cfg(target_arch = "x86_64")]
+            if have_avx2_fma() {
+                // SAFETY: row and y have equal lengths; AVX presence
+                // checked (the block uses no FMA).
+                unsafe { avx::axpy_row(alpha, rp, y) };
+                return;
+            }
+
+            let n = y.len();
+            let chunks = n / 8;
+            for c in 0..chunks {
+                let i = c * 8;
+                for lane in 0..8 {
+                    // SAFETY: i + lane < n == row.len().
+                    y[i + lane] += unsafe { *rp.add(i + lane) } * alpha;
+                }
+            }
+            for (i, yk) in y.iter_mut().enumerate().skip(chunks * 8) {
+                // SAFETY: i < n == row.len().
+                *yk += unsafe { *rp.add(i) } * alpha;
+            }
         }
     }
 }
@@ -512,6 +564,27 @@ mod avx {
         z
     }
 
+    /// `y += alpha · row` in 8-lane mul-then-add blocks.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX; `rp` must point at `y.len()` valid elements.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn axpy_row(alpha: f32, rp: *const f32, y: &mut [f32]) {
+        let n = y.len();
+        let a = _mm256_set1_ps(alpha);
+        let yp = y.as_mut_ptr();
+        let chunks = n / 8;
+        for c in 0..chunks {
+            let i = c * 8;
+            let prod = _mm256_mul_ps(_mm256_loadu_ps(rp.add(i)), a);
+            _mm256_storeu_ps(yp.add(i), _mm256_add_ps(_mm256_loadu_ps(yp.add(i)), prod));
+        }
+        for i in chunks * 8..n {
+            *yp.add(i) += *rp.add(i) * alpha;
+        }
+    }
+
     /// One contiguous row against `out.len()` examples (example-major
     /// `vals`), examples blocked four at a time over shared row loads.
     ///
@@ -697,6 +770,49 @@ mod tests {
     }
 
     #[test]
+    fn axpy_row_known_values() {
+        let row = atomic_row(&[1.0, -2.0, 0.5]);
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            let mut y = vec![10.0f32, 20.0, 30.0];
+            axpy_row(2.0, &row, &mut y, mode);
+            assert_eq!(y, vec![12.0, 16.0, 31.0], "mode {mode}");
+        }
+    }
+
+    #[test]
+    fn axpy_rows_reproduce_scalar_gather_dot_per_neuron() {
+        // An input-major layer's forward (one axpy_row per feature) must
+        // give each neuron exactly the Scalar gather_dot over its
+        // neuron-major row: same products, same summation order.
+        let (units, fan_in) = (21, 40);
+        let w = wave(units * fan_in, 0.37, 1.3); // neuron-major
+        let ids: Vec<u32> = vec![3, 7, 8, 19, 22, 30, 31, 39];
+        let vals = wave(ids.len(), 0.71, 2.0);
+        let bias = wave(units, 0.53, 0.4);
+        let input_rows: Vec<Vec<AtomicU32>> = (0..fan_in)
+            .map(|i| atomic_row(&(0..units).map(|j| w[j * fan_in + i]).collect::<Vec<_>>()))
+            .collect();
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            let mut z = bias.clone();
+            for (&id, &v) in ids.iter().zip(&vals) {
+                axpy_row(v, &input_rows[id as usize], &mut z, mode);
+            }
+            for j in 0..units {
+                let row = atomic_row(&w[j * fan_in..(j + 1) * fan_in]);
+                let expect = gather_dot(&row, &ids, &vals, bias[j], KernelMode::Scalar);
+                assert_eq!(z[j].to_bits(), expect.to_bits(), "mode {mode}, neuron {j}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "axpy_row: length mismatch")]
+    fn axpy_row_validates_lengths() {
+        let row = atomic_row(&[1.0, 2.0]);
+        axpy_row(1.0, &row, &mut [0.0], KernelMode::Vectorized);
+    }
+
+    #[test]
     fn gather_dot_batch_matches_per_example() {
         let row = atomic_row(&wave(64, 0.9, 1.0));
         let ids: Vec<u32> = (0..64u32).collect();
@@ -878,6 +994,22 @@ mod tests {
             let v = gather_dot(&row, &ids, &vals, init, KernelMode::Vectorized);
             prop_assert!((s - v).abs() <= 1e-5 * (1.0 + s.abs()) * ids.len().max(1) as f32,
                 "scalar {s} vs vectorized {v}");
+        }
+
+        #[test]
+        fn prop_axpy_row_modes_agree_bit_for_bit(
+            pairs in proptest::collection::vec((-4.0f32..4.0, -4.0f32..4.0), 0..140),
+            alpha in -3.0f32..3.0
+        ) {
+            let (cells, y0): (Vec<f32>, Vec<f32>) = pairs.into_iter().unzip();
+            let row = atomic_row(&cells);
+            let mut ys = y0.clone();
+            let mut yv = y0;
+            axpy_row(alpha, &row, &mut ys, KernelMode::Scalar);
+            axpy_row(alpha, &row, &mut yv, KernelMode::Vectorized);
+            for k in 0..ys.len() {
+                prop_assert!(ys[k].to_bits() == yv[k].to_bits(), "y[{}]: {} vs {}", k, ys[k], yv[k]);
+            }
         }
 
         #[test]

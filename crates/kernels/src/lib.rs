@@ -17,7 +17,8 @@
 //!
 //! The [`fused`] module holds the slice-based hot-path kernels that
 //! operate directly on HOGWILD `&[AtomicU32]` rows: [`gather_dot`]
-//! (forward pre-activation), [`gather_dot_batch`] (batched serving) and
+//! (forward pre-activation), [`axpy_row`] (forward over an input-major
+//! layer), [`gather_dot_batch`] (batched serving) and
 //! [`adam_step_gather`] (backward's fused gather + error-signal + Adam
 //! sweep).
 //!
@@ -33,7 +34,7 @@ pub mod ops;
 pub mod quant;
 
 pub use aligned::{AlignedVec, CachePadded, CACHE_LINE_BYTES};
-pub use fused::{adam_step_gather, gather_dot, gather_dot_batch};
+pub use fused::{adam_step_gather, axpy_row, gather_dot, gather_dot_batch};
 pub use hash::{SignedPlanes, SignedPlanesBuilder};
 pub use ops::{
     adam_step, axpy, dispatched_isa, dot, relu_in_place, softmax_in_place, AdamParams, KernelMode,

@@ -69,6 +69,21 @@ pub fn prefetch_read<T>(ptr: *const T) {
     let _ = ptr;
 }
 
+/// Prefetches every cache line `slice` overlaps (hint only): one
+/// [`prefetch_read`] per 64-byte line from the line holding the first
+/// element through the line holding the last.
+#[inline(always)]
+pub fn prefetch_slice<T>(slice: &[T]) {
+    let base = slice.as_ptr() as *const u8;
+    let line = crate::aligned::CACHE_LINE_BYTES;
+    let end = std::mem::size_of_val(slice);
+    let mut off = -((base as usize % line) as isize);
+    while off < end as isize {
+        prefetch_read(base.wrapping_offset(off));
+        off += line as isize;
+    }
+}
+
 /// Dot product `a · b`.
 ///
 /// # Panics

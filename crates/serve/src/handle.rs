@@ -223,7 +223,7 @@ impl EngineHandle {
         // that lands between this call returning and the thread first
         // being scheduled would be fingerprinted as "already attempted"
         // and silently never loaded.
-        let baseline: Option<(SystemTime, u64)> = fingerprint(&path);
+        let baseline: Option<Fingerprint> = fingerprint(&path);
         let thread = std::thread::spawn(move || {
             // The fingerprint of the last load *attempt*, successful or
             // not — a failed file is not retried until it changes or its
@@ -286,9 +286,22 @@ impl EngineHandle {
 /// file that repeatedly failed to load and could not be quarantined.
 pub const MAX_WATCHER_BACKOFF_TICKS: u32 = 32;
 
-fn fingerprint(path: &Path) -> Option<(SystemTime, u64)> {
+/// What the watcher compares to tell a new publish from the file it last
+/// tried: modification time, length and (on Unix) inode.
+type Fingerprint = (SystemTime, u64, u64);
+
+/// The file's [`Fingerprint`]. The inode matters: the filesystem clock
+/// behind mtime is coarse (a few ms), so two same-size snapshots
+/// published within one tick share mtime and length. Every
+/// `publish_bytes` renames a fresh file into place, so its inode always
+/// differs from the file it replaced.
+fn fingerprint(path: &Path) -> Option<Fingerprint> {
     let meta = std::fs::metadata(path).ok()?;
-    Some((meta.modified().ok()?, meta.len()))
+    #[cfg(unix)]
+    let inode = std::os::unix::fs::MetadataExt::ino(&meta);
+    #[cfg(not(unix))]
+    let inode = 0;
+    Some((meta.modified().ok()?, meta.len(), inode))
 }
 
 /// Guard for a running snapshot watcher thread; stops and joins it on

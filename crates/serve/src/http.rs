@@ -601,11 +601,13 @@ fn settle(
     let Some(c) = conns.get_mut(&id) else { return };
     if !keep {
         poller.deregister(raw_fd(&c.stream)).ok();
-        conns.remove(&id);
+        // Decrement before the fd closes: a client that has seen EOF must
+        // never read a gauge still counting its connection.
         shared
             .counters
             .current_connections
             .fetch_sub(1, Ordering::Relaxed);
+        conns.remove(&id);
         return;
     }
     let want = (c.want_read(), c.want_write());

@@ -19,16 +19,17 @@ fn tiny_data(seed: u64) -> slide::data::synth::SyntheticData {
 
 /// Independent full-softmax forward pass: plain dense matrix-vector
 /// products over the network's weights, mirroring the engine's scalar
-/// accumulation order so equality is exact, not approximate.
-fn reference_full_softmax_logits(
+/// accumulation order so equality is exact, not approximate. Returns
+/// every layer's activations, input to output.
+fn reference_layer_activations(
     net: &slide::core::network::Network,
     features: &SparseVector,
-) -> Vec<f32> {
+) -> Vec<Vec<f32>> {
     let mut input_ids: Vec<u32> = features.indices().to_vec();
     let mut input_vals: Vec<f32> = features.values().to_vec();
-    let mut acts: Vec<f32> = Vec::new();
+    let mut layers = Vec::new();
     for (l, layer) in net.layers().iter().enumerate() {
-        acts = (0..layer.units())
+        let mut acts: Vec<f32> = (0..layer.units())
             .map(|j| {
                 let mut z = layer.biases().get(j);
                 for (&id, &v) in input_ids.iter().zip(&input_vals) {
@@ -44,8 +45,19 @@ fn reference_full_softmax_logits(
             input_ids = (0..layer.units() as u32).collect();
             input_vals = acts.clone();
         }
+        layers.push(acts);
     }
-    acts
+    layers
+}
+
+/// The output layer of [`reference_layer_activations`].
+fn reference_full_softmax_logits(
+    net: &slide::core::network::Network,
+    features: &SparseVector,
+) -> Vec<f32> {
+    reference_layer_activations(net, features)
+        .pop()
+        .expect("at least one layer")
 }
 
 #[test]
@@ -79,6 +91,46 @@ fn dense_selector_is_bit_identical_to_full_softmax() {
             trainer.train(
                 &data.train,
                 &TrainOptions::new(1).batch_size(32).threads(1).seed(3),
+            );
+        }
+    }
+}
+
+/// The input-major hidden layer accumulates each neuron in feature order
+/// with separate multiply and add in both kernel modes, so even
+/// `Vectorized` layer-0 activations equal the sequential reference
+/// exactly — before and after training.
+#[test]
+fn vectorized_hidden_activations_match_the_reference_exactly() {
+    let data = tiny_data(43);
+    let cfg = NetworkConfig::builder(data.train.feature_dim(), data.train.label_dim())
+        .hidden(24)
+        .output_lsh(LshLayerConfig::simhash(3, 8))
+        .kernel_mode(KernelMode::Vectorized)
+        .seed(8)
+        .build()
+        .unwrap();
+    let mut trainer = SlideTrainer::new(cfg).unwrap();
+    assert!(trainer.network().layers()[0].is_input_major());
+    for round in 0..2 {
+        let net = trainer.network();
+        let mut ws = net.workspace(1);
+        for (i, ex) in data.test.iter().take(25).enumerate() {
+            net.forward(&DenseSelector, &mut ws, &ex.features, None);
+            let reference = &reference_layer_activations(net, &ex.features)[0];
+            assert_eq!(ws.activations(0).len(), reference.len());
+            for (j, (a, b)) in ws.activations(0).iter().zip(reference).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "round {round}, example {i}, hidden {j}: engine {a} != reference {b}"
+                );
+            }
+        }
+        if round == 0 {
+            trainer.train(
+                &data.train,
+                &TrainOptions::new(1).batch_size(32).threads(2).seed(3),
             );
         }
     }

@@ -96,3 +96,46 @@ fn evaluation_is_deterministic() {
     let p2 = trainer.evaluate_n(&data.test, 100);
     assert_eq!(p1, p2);
 }
+
+/// 64-bit FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden pins on the Scalar reference path: the snapshot bytes of a
+/// freshly built network and of the same network after one 1-thread
+/// Scalar epoch hash to fixed values. They pin the Glorot init order,
+/// the on-disk neuron-major weight order and the Scalar forward/backward
+/// arithmetic together, so a storage-layout change that alters any of
+/// them fails here.
+#[test]
+fn scalar_snapshot_bytes_match_golden_hashes() {
+    use slide::core::snapshot::write_network;
+    use slide::kernels::KernelMode;
+
+    const FRESH: u64 = 0x13e8_f1d1_cf93_1e56;
+    const TRAINED: u64 = 0x6016_d7e3_39eb_05de;
+
+    let data = generate(&SyntheticConfig::tiny().with_seed(4));
+    let cfg = NetworkConfig::builder(data.train.feature_dim(), data.train.label_dim())
+        .hidden(24)
+        .output_lsh(LshLayerConfig::simhash(3, 8))
+        .kernel_mode(KernelMode::Scalar)
+        .seed(31)
+        .build()
+        .unwrap();
+    let mut trainer = SlideTrainer::new(cfg).unwrap();
+    let fresh = fnv1a(&write_network(trainer.network()));
+    trainer.train(
+        &data.train,
+        &TrainOptions::new(1).batch_size(32).threads(1).seed(9),
+    );
+    let trained = fnv1a(&write_network(trainer.network()));
+    assert_eq!(
+        (fresh, trained),
+        (FRESH, TRAINED),
+        "snapshot hashes {fresh:#018x} / {trained:#018x} left the golden values"
+    );
+}

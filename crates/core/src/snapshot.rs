@@ -30,14 +30,27 @@
 //! [`write_network`] emits version 2 with every layer f32 — a round trip
 //! is bit-identical, so restored dense predictions equal the source
 //! network's exactly (pinned by `tests/serving.rs`).
-//! [`write_network_quantized`] stores the *output layer* as i16
-//! fixed-point with per-row scales ([`QuantizedRows`]): the reader
+//! [`Network::to_quantized_snapshot_bytes`] stores the *output layer* as
+//! i16 fixed-point with per-row scales ([`QuantizedRows`]): the reader
 //! dequantizes into the network weights (so selection tables are built
 //! from the same values serving dots against) and also hands back the
 //! quantized rows for the fused [`slide_kernels::gather_dot_q16`] /
 //! [`slide_kernels::dot_batch_q16`] inference path.
+//!
+//! ## Decoding
+//!
+//! Full snapshots and slices (see [`slice_snapshot`]) decode through one
+//! path. `open` checks a container's envelope: length, checksum, magic
+//! and version. `read_section` borrows one layer's parameter section as
+//! byte ranges (enc, scales, rows, biases). It sizes the whole section
+//! against the config with checked arithmetic and takes it in one piece,
+//! so a header claiming more than the bytes hold fails before anything
+//! dimension-derived is allocated. `install` copies a section into a
+//! layer, decoding q16 through `decode_q16`. Nothing here panics on
+//! malformed bytes; every failure is a typed [`SnapshotError`].
 
-use std::io::{Read, Write};
+use std::io::Write;
+use std::ops::RangeInclusive;
 use std::path::Path;
 
 use slide_kernels::{AdamParams, KernelMode};
@@ -59,6 +72,9 @@ const MIN_VERSION: u32 = 1;
 /// Per-layer weight encoding tag (version ≥ 2).
 const ENC_F32: u8 = 0;
 const ENC_Q16: u8 = 1;
+
+/// A layer section that does not fit the bytes that hold it.
+const SIZE_MISMATCH: &str = "parameter payload size inconsistent with config";
 
 /// Error restoring a snapshot.
 #[derive(Debug)]
@@ -135,6 +151,13 @@ impl Enc {
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
+    /// Appends the FNV-1a checksum of everything written and returns the
+    /// finished container.
+    fn finish(mut self) -> Vec<u8> {
+        let check = fnv1a(&self.buf);
+        self.u64(check);
+        self.buf
+    }
 }
 
 #[derive(Debug)]
@@ -148,26 +171,27 @@ impl<'a> Dec<'a> {
         Self { buf, pos: 0 }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
+        let s = self
             .pos
             .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
+            .and_then(|end| self.buf.get(self.pos..end))
             .ok_or(SnapshotError::Corrupt("truncated"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
+        self.pos += n;
         Ok(s)
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
     fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
     fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i16(&mut self) -> Result<i16, SnapshotError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as i16)
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn f32(&mut self) -> Result<f32, SnapshotError> {
         Ok(f32::from_bits(self.u32()?))
@@ -178,6 +202,10 @@ impl<'a> Dec<'a> {
     fn usize(&mut self) -> Result<usize, SnapshotError> {
         usize::try_from(self.u64()?).map_err(|_| SnapshotError::Corrupt("size overflow"))
     }
+    /// Bytes not yet read.
+    fn rest(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -186,6 +214,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
     }
     h
+}
+
+/// The little-endian f32s in `bytes`.
+fn f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+}
+
+/// `a · b`, or a size error on overflow.
+fn mul(a: usize, b: usize) -> Result<usize, SnapshotError> {
+    a.checked_mul(b)
+        .ok_or(SnapshotError::Corrupt(SIZE_MISMATCH))
 }
 
 // ---------------------------------------------------------------------
@@ -356,8 +397,20 @@ fn decode_config(d: &mut Dec<'_>) -> Result<NetworkConfig, SnapshotError> {
     })
 }
 
+/// Overrides every LSH layer's centering mode when `center_rows` is set.
+/// Applied to the config before the network is built, so the tables are
+/// built once in the requested geometry instead of being rebuilt again
+/// by a later [`Network::set_lsh_centering`] call.
+fn override_centering(config: &mut NetworkConfig, center_rows: Option<bool>) {
+    if let Some(center) = center_rows {
+        for lsh in config.layers.iter_mut().filter_map(|l| l.lsh.as_mut()) {
+            lsh.center_rows = center;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
-// Public API.
+// Encoding.
 
 /// A restored snapshot: the network plus, when the snapshot stored the
 /// output layer as i16 fixed-point, the decoded [`QuantizedRows`] for the
@@ -404,9 +457,7 @@ fn write_with(network: &Network, quantize_output: bool) -> Vec<u8> {
             e.f32(b.get(i));
         }
     }
-    let check = fnv1a(&e.buf);
-    e.u64(check);
-    e.buf
+    e.finish()
 }
 
 /// Serializes `network` (config + weights + biases) to the version-2 byte
@@ -415,98 +466,290 @@ pub fn write_network(network: &Network) -> Vec<u8> {
     write_with(network, false)
 }
 
-/// Serializes `network` with the *output layer* stored as i16 fixed-point
-/// rows with per-row scales ([`QuantizedRows`]) — roughly half the bytes
-/// of [`write_network`] when the output layer dominates. Hidden layers
-/// and all biases stay exact f32; training state is unaffected.
-pub fn write_network_quantized(network: &Network) -> Vec<u8> {
-    write_with(network, true)
+// ---------------------------------------------------------------------
+// Decoding: one envelope check, one section walker, one installer.
+
+/// Checks a container's envelope: long enough, trailing FNV-1a checksum
+/// intact, `magic` first, then a version in `versions`. Returns that
+/// version and a decoder over the payload (checksum excluded) positioned
+/// just past it.
+fn open<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    versions: RangeInclusive<u32>,
+) -> Result<(u32, Dec<'a>), SnapshotError> {
+    if bytes.len() < magic.len() + 4 + 8 {
+        return Err(SnapshotError::Corrupt("too short"));
+    }
+    let (payload, check) = bytes.split_at(bytes.len() - 8);
+    if fnv1a(payload) != Dec::new(check).u64()? {
+        return Err(SnapshotError::Corrupt("checksum mismatch"));
+    }
+    let mut d = Dec::new(payload);
+    if d.take(magic.len())? != magic {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = d.u32()?;
+    if !versions.contains(&version) {
+        return Err(SnapshotError::UnsupportedVersion(version));
+    }
+    Ok((version, d))
 }
 
-/// Restores a [`Network`] from snapshot bytes: validates magic, version
-/// and checksum, rebuilds the network from the embedded config, copies
-/// the weights and biases in, and rebuilds every LSH layer's hash tables
-/// from the restored weights.
-pub fn read_network(bytes: &[u8]) -> Result<Network, SnapshotError> {
-    read_network_with_centering(bytes, None)
+/// How a layer section is framed on disk.
+#[derive(Debug, Clone, Copy)]
+enum Framing {
+    /// A version-1 snapshot layer: no enc tag (always f32); a u64
+    /// element count before the weights and before the biases.
+    V1,
+    /// A version-2 snapshot layer: an enc tag, then as [`Framing::V1`].
+    V2,
+    /// A slice's output rows: an enc tag and no counts.
+    SliceRows,
 }
 
-/// [`read_network`] with the centering mode decided up front — discards
-/// any quantized rows; see [`read_snapshot_with_centering`] to keep them.
-pub fn read_network_with_centering(
-    bytes: &[u8],
-    center_rows: Option<bool>,
-) -> Result<Network, SnapshotError> {
-    read_snapshot_with_centering(bytes, center_rows).map(|s| s.network)
-}
-
-/// Walks the per-layer parameter payload *by size only* and verifies it
-/// is exactly consistent with the config's dimensions, before any
-/// dimension-derived allocation happens. A corrupt/crafted header
-/// claiming units = 2^40 must fail here, not OOM in `Network::new`.
-///
-/// Version 1 layers are untagged f32. Version ≥ 2 layers start with an
-/// encoding tag byte that decides the section's size, so the walk reads
-/// each tag at its computed offset.
-fn validate_payload_size(
-    payload: &[u8],
-    start: usize,
-    version: u32,
-    config: &NetworkConfig,
-) -> Result<(), SnapshotError> {
-    let remaining = (payload.len() - start) as u128;
-    let mut offset: u128 = 0;
-    let mut fan_in = config.input_dim as u128;
-    for layer in &config.layers {
-        let units = layer.units as u128;
-        let weights = if version >= 2 {
-            let tag = *payload
-                .get(
-                    start
-                        + usize::try_from(offset).map_err(|_| {
-                            SnapshotError::Corrupt(
-                                "parameter payload size inconsistent with config",
-                            )
-                        })?,
-                )
-                .ok_or(SnapshotError::Corrupt(
-                    "parameter payload size inconsistent with config",
-                ))?;
-            match tag {
-                // tag + weights len + f32s
-                ENC_F32 => 1 + 8 + units * fan_in * 4,
-                // tag + code count + per-row f32 scales + i16 codes
-                ENC_Q16 => 1 + 8 + units * 4 + units * fan_in * 2,
-                _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
-            }
+impl Framing {
+    fn of(version: u32) -> Self {
+        if version >= 2 {
+            Framing::V2
         } else {
-            // Untagged: weights len + f32s.
-            8 + units * fan_in * 4
-        };
-        // Biases: len + f32s, always.
-        offset += weights + 8 + units * 4;
-        if offset > remaining {
-            return Err(SnapshotError::Corrupt(
-                "parameter payload size inconsistent with config",
-            ));
+            Framing::V1
         }
-        fan_in = units;
     }
-    if offset != remaining {
-        return Err(SnapshotError::Corrupt(
-            "parameter payload size inconsistent with config",
-        ));
+}
+
+/// One layer's parameter section, borrowed from the container bytes and
+/// already sized against the layer's shape.
+#[derive(Debug)]
+struct Section<'a> {
+    /// Offset of the section's first byte in the buffer it was read from.
+    start: usize,
+    enc: u8,
+    /// Rows (neurons) held, and the length of each (the fan-in).
+    units: usize,
+    fan_in: usize,
+    /// Per-row f32 scales (q16 only; empty for f32).
+    scales: &'a [u8],
+    /// Weight rows, neuron-major: f32 bits, or i16 codes for q16.
+    rows: &'a [u8],
+    /// Bias f32 bits.
+    biases: &'a [u8],
+}
+
+impl<'a> Section<'a> {
+    /// The scales, weight rows and biases of neurons `lo..hi`, with
+    /// `lo ≤ hi ≤ units`.
+    fn neurons(&self, lo: usize, hi: usize) -> [&'a [u8]; 3] {
+        let row = self.rows.len() / self.units.max(1);
+        let scales = if self.scales.is_empty() {
+            self.scales
+        } else {
+            &self.scales[lo * 4..hi * 4]
+        };
+        [
+            scales,
+            &self.rows[lo * row..hi * row],
+            &self.biases[lo * 4..hi * 4],
+        ]
     }
-    Ok(())
+}
+
+/// Reads one layer section of `units` rows of `fan_in` weights from `d`.
+/// The whole section is sized first, with checked arithmetic, and taken
+/// in one piece; only then are its element counts compared with the
+/// shape.
+fn read_section<'a>(
+    d: &mut Dec<'a>,
+    framing: Framing,
+    units: usize,
+    fan_in: usize,
+) -> Result<Section<'a>, SnapshotError> {
+    let start = d.pos;
+    let enc = match framing {
+        Framing::V1 => ENC_F32,
+        Framing::V2 | Framing::SliceRows => {
+            d.u8().map_err(|_| SnapshotError::Corrupt(SIZE_MISMATCH))?
+        }
+    };
+    let (width, scales_len) = match enc {
+        ENC_F32 => (4, 0),
+        ENC_Q16 => (2, mul(units, 4)?),
+        _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
+    };
+    let counted = !matches!(framing, Framing::SliceRows);
+    let count_len = if counted { 8 } else { 0 };
+    let count = mul(units, fan_in)?;
+    let rows_len = mul(count, width)?;
+    let biases_len = mul(units, 4)?;
+    let size = [count_len, scales_len, rows_len, count_len, biases_len]
+        .into_iter()
+        .try_fold(0usize, usize::checked_add)
+        .ok_or(SnapshotError::Corrupt(SIZE_MISMATCH))?;
+    let mut s = Dec::new(
+        d.take(size)
+            .map_err(|_| SnapshotError::Corrupt(SIZE_MISMATCH))?,
+    );
+    if counted && s.u64()? != count as u64 {
+        return Err(SnapshotError::Corrupt("weight count mismatch"));
+    }
+    let scales = s.take(scales_len)?;
+    let rows = s.take(rows_len)?;
+    if counted && s.u64()? != units as u64 {
+        return Err(SnapshotError::Corrupt("bias count mismatch"));
+    }
+    Ok(Section {
+        start,
+        enc,
+        units,
+        fan_in,
+        scales,
+        rows,
+        biases: s.take(biases_len)?,
+    })
+}
+
+/// Reads the sections of `layers`, the first fed by `input_dim` inputs
+/// and each later one by its predecessor's units.
+fn read_sections<'a>(
+    d: &mut Dec<'a>,
+    framing: Framing,
+    input_dim: usize,
+    layers: &[LayerConfig],
+) -> Result<Vec<Section<'a>>, SnapshotError> {
+    let mut fan_in = input_dim;
+    let mut sections = Vec::with_capacity(layers.len());
+    for layer in layers {
+        sections.push(read_section(d, framing, layer.units, fan_in)?);
+        fan_in = layer.units;
+    }
+    Ok(sections)
+}
+
+/// A snapshot parsed down to borrowed sections.
+struct Snapshot<'a> {
+    version: u32,
+    config: NetworkConfig,
+    /// The snapshot bytes before the output layer's section: magic,
+    /// version, config and every hidden section, verbatim.
+    prefix: &'a [u8],
+    /// One section per layer. For a slice: the hidden layers only.
+    sections: Vec<Section<'a>>,
+}
+
+/// Parses a full `.slidesnap` container: envelope, config, and every
+/// layer section, which together must use up the payload exactly.
+fn parse_snapshot(bytes: &[u8]) -> Result<Snapshot<'_>, SnapshotError> {
+    let (version, mut d) = open(bytes, MAGIC, MIN_VERSION..=VERSION)?;
+    let config = decode_config(&mut d)?;
+    let sections = read_sections(
+        &mut d,
+        Framing::of(version),
+        config.input_dim,
+        &config.layers,
+    )?;
+    if d.rest() != 0 {
+        return Err(SnapshotError::Corrupt(SIZE_MISMATCH));
+    }
+    let prefix_len = sections.last().map_or(d.pos, |s| s.start);
+    Ok(Snapshot {
+        version,
+        config,
+        prefix: d.buf.get(..prefix_len).unwrap_or_default(),
+        sections,
+    })
+}
+
+/// Decodes a q16 section's per-row scales (each must be finite and
+/// non-negative) and codes; `None` for an f32 section.
+fn decode_q16(sec: &Section<'_>) -> Result<Option<QuantizedRows>, SnapshotError> {
+    if sec.enc != ENC_Q16 {
+        return Ok(None);
+    }
+    let scales = f32s(sec.scales)
+        .map(|s| {
+            if s.is_finite() && s >= 0.0 {
+                Ok(s)
+            } else {
+                Err(SnapshotError::Corrupt("quantized scale invalid"))
+            }
+        })
+        .collect::<Result<Vec<f32>, _>>()?;
+    let codes = sec
+        .rows
+        .chunks_exact(2)
+        .map(|c| i16::from_le_bytes([c[0], c[1]]))
+        .collect();
+    Ok(Some(QuantizedRows::from_parts(
+        sec.units, sec.fan_in, codes, scales,
+    )))
+}
+
+/// Installs a section into `layer`: weights (q16 rows dequantized, so
+/// table rebuilds and the f32 fallback see exactly the values the
+/// quantized kernels compute against), then biases. Returns the q16
+/// rows. Does **not** rebuild the layer's tables.
+fn install(
+    layer: &Layer,
+    sec: &Section<'_>,
+    values: &mut Vec<f32>,
+) -> Result<Option<QuantizedRows>, SnapshotError> {
+    if (layer.units(), layer.fan_in()) != (sec.units, sec.fan_in) {
+        return Err(SnapshotError::Corrupt(SIZE_MISMATCH));
+    }
+    let q = decode_q16(sec)?;
+    let weights = layer.weights();
+    match &q {
+        Some(q) => {
+            values.resize(sec.fan_in, 0.0);
+            for j in 0..sec.units {
+                q.dequantize_row(j, values);
+                for (i, &v) in values.iter().enumerate() {
+                    weights.set(j, i, v);
+                }
+            }
+        }
+        None => {
+            values.clear();
+            values.extend(f32s(sec.rows));
+            weights.copy_from_neuron_major(values);
+        }
+    }
+    values.clear();
+    values.extend(f32s(sec.biases));
+    layer.biases().copy_from(values);
+    Ok(q)
+}
+
+/// Installs `sections` into `network`'s layers in order, rebuilding each
+/// layer's tables once its weights are in place (bucket contents are a
+/// function of the weights). `center` is the output layer's fixed
+/// centering vector, when it has one. The quantized rows returned are
+/// the output layer's.
+fn install_all(
+    mut network: Network,
+    sections: &[Section<'_>],
+    center: Option<Vec<f32>>,
+) -> Result<LoadedSnapshot, SnapshotError> {
+    if let Some(out) = network.layers_mut().last_mut() {
+        out.set_center_override(center);
+    }
+    let mut values = Vec::new();
+    let mut quantized = None;
+    for (layer, sec) in network.layers_mut().iter_mut().zip(sections) {
+        quantized = install(layer, sec, &mut values)?;
+        layer.rebuild_tables();
+    }
+    Ok(LoadedSnapshot { network, quantized })
 }
 
 /// Restores a network *and* any quantized output rows from snapshot
-/// bytes, with the centering mode decided up front: when `center_rows`
-/// is `Some`, every LSH layer's [`LshLayerConfig::center_rows`] is
-/// overridden *before* the post-copy table rebuild, so the tables are
-/// built once in the requested geometry instead of being rebuilt again
-/// by a later [`Network::set_lsh_centering`] call. The serving engine
-/// loads snapshots through this path.
+/// bytes: validates magic, version, checksum and every section's size,
+/// rebuilds the network from the embedded config, copies the weights and
+/// biases in, and rebuilds every LSH layer's hash tables from them. When
+/// `center_rows` is `Some`, every LSH layer's
+/// [`LshLayerConfig::center_rows`] is overridden *before* the tables are
+/// built, so they are built once in the requested geometry. The serving
+/// engine loads snapshots through this path.
 ///
 /// Quantized layers are dequantized into the network's weights — hash
 /// tables are therefore built over exactly the values the quantized dot
@@ -516,322 +759,72 @@ pub fn read_snapshot_with_centering(
     bytes: &[u8],
     center_rows: Option<bool>,
 ) -> Result<LoadedSnapshot, SnapshotError> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
-        return Err(SnapshotError::Corrupt("too short"));
-    }
-    let (payload, check_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(check_bytes.try_into().unwrap());
-    if fnv1a(payload) != stored {
-        return Err(SnapshotError::Corrupt("checksum mismatch"));
-    }
-    let mut d = Dec::new(payload);
-    if d.take(MAGIC.len())? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = d.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let mut config = decode_config(&mut d)?;
-    if let Some(center) = center_rows {
-        for layer in &mut config.layers {
-            if let Some(lsh) = &mut layer.lsh {
-                lsh.center_rows = center;
-            }
-        }
-    }
-    validate_payload_size(payload, d.pos, version, &config)?;
-    let mut network = Network::new(config)?;
-    let n_layers = network.layers().len();
-    let mut quantized: Option<QuantizedRows> = None;
-    let mut values: Vec<f32> = Vec::new();
-    for (li, layer) in network.layers_mut().iter_mut().enumerate() {
-        let q = decode_layer_params(&mut d, version, layer, &mut values)?;
-        if li == n_layers - 1 {
-            quantized = q;
-        }
-        // Bucket contents are a function of the weights: re-hash now that
-        // the trained weights are in place.
-        layer.rebuild_tables();
-    }
-    if d.pos != payload.len() {
-        return Err(SnapshotError::Corrupt("trailing bytes"));
-    }
-    Ok(LoadedSnapshot { network, quantized })
-}
-
-/// Decodes one layer's parameter section (weights + biases) from `d`
-/// into `layer`, dequantizing q16 rows into the weight matrix (so table
-/// rebuilds and the f32 fallback see exactly the values the quantized
-/// kernels compute against). Returns the decoded [`QuantizedRows`] when
-/// the section was q16. Does **not** rebuild the layer's tables.
-fn decode_layer_params(
-    d: &mut Dec<'_>,
-    version: u32,
-    layer: &mut Layer,
-    values: &mut Vec<f32>,
-) -> Result<Option<QuantizedRows>, SnapshotError> {
-    let mut quantized: Option<QuantizedRows> = None;
-    let enc = if version >= 2 { d.u8()? } else { ENC_F32 };
-    match enc {
-        ENC_F32 => {
-            let n_w = d.usize()?;
-            if n_w != layer.units() * layer.fan_in() {
-                return Err(SnapshotError::Corrupt("weight count mismatch"));
-            }
-            values.clear();
-            values.reserve(n_w);
-            for _ in 0..n_w {
-                values.push(d.f32()?);
-            }
-            layer.weights().copy_from_neuron_major(values);
-        }
-        ENC_Q16 => {
-            let count = d.usize()?;
-            let (units, fan_in) = (layer.units(), layer.fan_in());
-            if count != units * fan_in {
-                return Err(SnapshotError::Corrupt("quantized code count mismatch"));
-            }
-            let mut scales = Vec::with_capacity(units);
-            for _ in 0..units {
-                let s = d.f32()?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err(SnapshotError::Corrupt("quantized scale invalid"));
-                }
-                scales.push(s);
-            }
-            let mut codes = Vec::with_capacity(count);
-            for _ in 0..count {
-                codes.push(d.i16()?);
-            }
-            let q = QuantizedRows::from_parts(units, fan_in, codes, scales);
-            values.resize(fan_in, 0.0);
-            for j in 0..units {
-                q.dequantize_row(j, values);
-                for (i, &v) in values.iter().enumerate() {
-                    layer.weights().set(j, i, v);
-                }
-            }
-            quantized = Some(q);
-        }
-        _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
-    }
-    let n_b = d.usize()?;
-    if n_b != layer.biases().len() {
-        return Err(SnapshotError::Corrupt("bias count mismatch"));
-    }
-    values.clear();
-    values.reserve(n_b);
-    for _ in 0..n_b {
-        values.push(d.f32()?);
-    }
-    layer.biases().copy_from(values);
-    Ok(quantized)
+    let Snapshot {
+        mut config,
+        sections,
+        ..
+    } = parse_snapshot(bytes)?;
+    override_centering(&mut config, center_rows);
+    install_all(Network::new(config)?, &sections, None)
 }
 
 // ---------------------------------------------------------------------
 // Snapshot slices: scatter a snapshot's output layer across shards.
 //
-// A *slice* is a v2-compatible section of a full snapshot carrying one
-// shard's contiguous output-neuron range — its weight rows (f32 or q16
-// with per-row scales) and biases — plus everything a shard engine needs
-// to reproduce the unsharded engine's behaviour bit-for-bit: the full
-// network's config and hidden layers verbatim, and the full output
-// layer's centering vector (a shard cannot recompute the mean of rows it
-// does not hold). `slice_snapshot` produces the slices,
-// `assemble_slices` reassembles the original bytes exactly, and
-// `read_slice` restores a shard-sized network whose hash family, tables
-// and scores match the full network's over the shard's range.
+// A *slice* carries one shard's contiguous output-neuron range — its
+// weight rows (f32 or q16 with per-row scales) and biases — plus
+// everything a shard engine needs to reproduce the unsharded engine's
+// behaviour bit-for-bit: the full network's config and hidden layers
+// verbatim, and the full output layer's centering vector (a shard cannot
+// recompute the mean of rows it does not hold). `slice_snapshot`
+// produces the slices, `assemble_slices` reassembles the original bytes
+// exactly, and `read_slice` restores a shard-sized network whose hash
+// family, tables and scores match the full network's over the shard's
+// range.
+//
+// ```text
+// magic      b"SLIDSLCE"                     8 bytes
+// version    u32 = 1                         slice container version
+// snap ver   u32                             the snapshot's version (1 or 2)
+// lo hi      u64 u64                         output neurons lo..hi
+// total      u64                             the full output width
+// prefix     len u64 + bytes                 the snapshot before its output
+//                                            section, verbatim
+// center     len u64 + f32 bits              0 or fan-in of them
+// enc        u8                              always present
+// scales     f32 bits × (hi − lo)            q16 only
+// rows       (hi − lo) × fan-in f32 or i16
+// biases     f32 bits × (hi − lo)
+// check      u64 FNV-1a over everything above
+// ```
 
 /// Slice container magic.
 const SLICE_MAGIC: &[u8; 8] = b"SLIDSLCE";
 /// Slice container format version.
 const SLICE_VERSION: u32 = 1;
 
-/// A full snapshot parsed down to section offsets (checksum and payload
-/// sizes already verified).
-struct FullParts<'a> {
-    version: u32,
-    config: NetworkConfig,
-    /// The snapshot bytes minus the trailing checksum.
-    payload: &'a [u8],
-    /// Offset of the output layer's parameter section in `payload`.
-    out_start: usize,
-    /// The output layer's fan-in (last hidden width, or the input dim).
-    out_fan_in: usize,
-}
-
-/// Byte size of one layer's parameter section. `tag` is the section's
-/// first byte for version ≥ 2 (ignored for version 1).
-fn layer_section_size(
-    tag: Option<u8>,
-    version: u32,
-    units: usize,
-    fan_in: usize,
-) -> Result<usize, SnapshotError> {
-    let weights = if version >= 2 {
-        match tag.ok_or(SnapshotError::Corrupt("truncated"))? {
-            ENC_F32 => 1 + 8 + units * fan_in * 4,
-            ENC_Q16 => 1 + 8 + units * 4 + units * fan_in * 2,
-            _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
-        }
-    } else {
-        8 + units * fan_in * 4
-    };
-    Ok(weights + 8 + units * 4)
-}
-
-/// Walks the non-output layer sections starting at `start`, returning
-/// the offset of the output section and the output layer's fan-in.
-fn walk_hidden_sections(
-    bytes: &[u8],
-    start: usize,
-    version: u32,
-    config: &NetworkConfig,
-) -> Result<(usize, usize), SnapshotError> {
-    let mut off = start;
-    let mut fan_in = config.input_dim;
-    for layer in &config.layers[..config.layers.len() - 1] {
-        let size = layer_section_size(bytes.get(off).copied(), version, layer.units, fan_in)?;
-        off = off
-            .checked_add(size)
-            .filter(|&o| o <= bytes.len())
-            .ok_or(SnapshotError::Corrupt("truncated"))?;
-        fan_in = layer.units;
-    }
-    Ok((off, fan_in))
-}
-
-fn parse_full(bytes: &[u8]) -> Result<FullParts<'_>, SnapshotError> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
-        return Err(SnapshotError::Corrupt("too short"));
-    }
-    let (payload, check_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(check_bytes.try_into().unwrap());
-    if fnv1a(payload) != stored {
-        return Err(SnapshotError::Corrupt("checksum mismatch"));
-    }
-    let mut d = Dec::new(payload);
-    if d.take(MAGIC.len())? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = d.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let config = decode_config(&mut d)?;
-    if config.layers.is_empty() {
-        return Err(SnapshotError::Corrupt("no layers"));
-    }
-    validate_payload_size(payload, d.pos, version, &config)?;
-    let (out_start, out_fan_in) = walk_hidden_sections(payload, d.pos, version, &config)?;
-    Ok(FullParts {
-        version,
-        config,
-        payload,
-        out_start,
-        out_fan_in,
-    })
-}
-
-/// Offsets of the output section's pieces within a parsed snapshot.
-struct OutSection {
-    enc: u8,
-    /// Offset of the per-row f32 scales (q16 only; 0 for f32).
-    scales: usize,
-    /// Offset of the weight value array (f32 bits, or i16 codes).
-    rows: usize,
-    /// Offset of the bias f32 array (past its length prefix).
-    biases: usize,
-}
-
-fn out_section(parts: &FullParts<'_>) -> Result<OutSection, SnapshotError> {
-    let out = &parts.config.layers[parts.config.layers.len() - 1];
-    let (units, fan_in) = (out.units, parts.out_fan_in);
-    let off = parts.out_start;
-    if parts.version >= 2 {
-        match parts.payload[off] {
-            ENC_F32 => Ok(OutSection {
-                enc: ENC_F32,
-                scales: 0,
-                rows: off + 9,
-                biases: off + 9 + units * fan_in * 4 + 8,
-            }),
-            ENC_Q16 => {
-                let scales = off + 9;
-                let rows = scales + units * 4;
-                Ok(OutSection {
-                    enc: ENC_Q16,
-                    scales,
-                    rows,
-                    biases: rows + units * fan_in * 2 + 8,
-                })
-            }
-            _ => Err(SnapshotError::Corrupt("layer encoding tag")),
-        }
-    } else {
-        Ok(OutSection {
-            enc: ENC_F32,
-            scales: 0,
-            rows: off + 8,
-            biases: off + 8 + units * fan_in * 4 + 8,
-        })
-    }
-}
-
-/// Reads f32 number `i` from a little-endian byte array.
-fn f32_at(bytes: &[u8], i: usize) -> f32 {
-    let p = i * 4;
-    f32::from_bits(u32::from_le_bytes([
-        bytes[p],
-        bytes[p + 1],
-        bytes[p + 2],
-        bytes[p + 3],
-    ]))
-}
-
-/// The full output layer's centering vector — the serial f64 column mean
-/// over **all** rows, exactly as `Layer::rebuild_tables` computes it
-/// after the full snapshot load (q16 rows dequantized first, like the
-/// reader does). Empty when the output layer has no LSH config.
-fn output_center(parts: &FullParts<'_>, sec: &OutSection) -> Result<Vec<f32>, SnapshotError> {
-    let out = &parts.config.layers[parts.config.layers.len() - 1];
-    if out.lsh.is_none() {
-        return Ok(Vec::new());
-    }
-    let (units, fan_in) = (out.units, parts.out_fan_in);
-    let payload = parts.payload;
-    let mut acc = vec![0.0f64; fan_in];
-    if sec.enc == ENC_Q16 {
-        let mut scales = Vec::with_capacity(units);
-        for j in 0..units {
-            let s = f32_at(&payload[sec.scales..], j);
-            if !s.is_finite() || s < 0.0 {
-                return Err(SnapshotError::Corrupt("quantized scale invalid"));
-            }
-            scales.push(s);
-        }
-        let mut codes = Vec::with_capacity(units * fan_in);
-        for i in 0..units * fan_in {
-            let p = sec.rows + i * 2;
-            codes.push(u16::from_le_bytes([payload[p], payload[p + 1]]) as i16);
-        }
-        let q = QuantizedRows::from_parts(units, fan_in, codes, scales);
-        let mut row = vec![0.0f32; fan_in];
-        for j in 0..units {
-            q.dequantize_row(j, &mut row);
-            for (a, &r) in acc.iter_mut().zip(&row) {
-                *a += r as f64;
+/// The column mean of a section's rows: the serial f64 sum over **all**
+/// rows, exactly as `Layer::rebuild_tables` computes it after a full
+/// snapshot load (q16 rows dequantized first, like the reader does).
+fn column_mean(sec: &Section<'_>) -> Result<Vec<f32>, SnapshotError> {
+    let q = decode_q16(sec)?;
+    let mut acc = vec![0.0f64; sec.fan_in];
+    let mut row = vec![0.0f32; sec.fan_in];
+    for j in 0..sec.units {
+        match &q {
+            Some(q) => q.dequantize_row(j, &mut row),
+            None => {
+                let [_, bytes, _] = sec.neurons(j, j + 1);
+                for (r, v) in row.iter_mut().zip(f32s(bytes)) {
+                    *r = v;
+                }
             }
         }
-    } else {
-        for j in 0..units {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a += f32_at(&payload[sec.rows..], j * fan_in + i) as f64;
-            }
+        for (a, &r) in acc.iter_mut().zip(&row) {
+            *a += r as f64;
         }
     }
-    Ok(acc.iter().map(|&a| (a / units as f64) as f32).collect())
+    Ok(acc.iter().map(|&a| (a / sec.units as f64) as f32).collect())
 }
 
 /// Splits a full snapshot into `num_shards` self-contained slices, shard
@@ -847,174 +840,118 @@ pub fn slice_snapshot(bytes: &[u8], num_shards: usize) -> Result<Vec<Vec<u8>>, S
     if num_shards == 0 {
         return Err(SnapshotError::Slice("num_shards must be positive"));
     }
-    let parts = parse_full(bytes)?;
-    let units = parts.config.layers[parts.config.layers.len() - 1].units;
+    let snap = parse_snapshot(bytes)?;
+    let (Some(out_cfg), Some(out)) = (snap.config.layers.last(), snap.sections.last()) else {
+        return Err(SnapshotError::Corrupt("no layers"));
+    };
+    let units = out.units;
     if num_shards > units {
         return Err(SnapshotError::Slice("more shards than output neurons"));
     }
-    let sec = out_section(&parts)?;
-    let center = output_center(&parts, &sec)?;
-    let fan_in = parts.out_fan_in;
-    let payload = parts.payload;
-    let mut slices = Vec::with_capacity(num_shards);
-    for s in 0..num_shards {
-        let lo = s * units / num_shards;
-        let hi = (s + 1) * units / num_shards;
-        let mut e = Enc::default();
-        e.buf.extend_from_slice(SLICE_MAGIC);
-        e.u32(SLICE_VERSION);
-        e.u32(parts.version);
-        e.u64(lo as u64);
-        e.u64(hi as u64);
-        e.u64(units as u64);
-        e.u64(parts.out_start as u64);
-        e.buf.extend_from_slice(&payload[..parts.out_start]);
-        e.u64(center.len() as u64);
-        for &c in &center {
-            e.f32(c);
-        }
-        e.u8(sec.enc);
-        if sec.enc == ENC_Q16 {
-            e.buf
-                .extend_from_slice(&payload[sec.scales + lo * 4..sec.scales + hi * 4]);
-            e.buf.extend_from_slice(
-                &payload[sec.rows + lo * fan_in * 2..sec.rows + hi * fan_in * 2],
-            );
-        } else {
-            e.buf.extend_from_slice(
-                &payload[sec.rows + lo * fan_in * 4..sec.rows + hi * fan_in * 4],
-            );
-        }
-        e.buf
-            .extend_from_slice(&payload[sec.biases + lo * 4..sec.biases + hi * 4]);
-        let check = fnv1a(&e.buf);
-        e.u64(check);
-        slices.push(e.buf);
-    }
+    let center = match out_cfg.lsh {
+        Some(_) => column_mean(out)?,
+        None => Vec::new(),
+    };
+    let bound = |s: usize| (s as u128 * units as u128 / num_shards as u128) as usize;
+    let slices = (0..num_shards)
+        .map(|s| {
+            let (lo, hi) = (bound(s), bound(s + 1));
+            let mut e = Enc::default();
+            e.buf.extend_from_slice(SLICE_MAGIC);
+            e.u32(SLICE_VERSION);
+            e.u32(snap.version);
+            e.u64(lo as u64);
+            e.u64(hi as u64);
+            e.u64(units as u64);
+            e.u64(snap.prefix.len() as u64);
+            e.buf.extend_from_slice(snap.prefix);
+            e.u64(center.len() as u64);
+            for &c in &center {
+                e.f32(c);
+            }
+            e.u8(out.enc);
+            for part in out.neurons(lo, hi) {
+                e.buf.extend_from_slice(part);
+            }
+            e.finish()
+        })
+        .collect();
     Ok(slices)
 }
 
 /// A parsed slice, borrowing section byte ranges from the input.
 struct SlicePart<'a> {
-    snap_version: u32,
     lo: usize,
     hi: usize,
     total: usize,
-    /// The original snapshot's bytes up to the output section: magic,
-    /// version, config and every non-output layer section, verbatim.
-    prefix: &'a [u8],
-    out_fan_in: usize,
+    /// The embedded snapshot: its prefix, config and hidden sections.
+    snap: Snapshot<'a>,
     /// The full output layer's centering vector (f32 bits; may be empty).
     center: &'a [u8],
-    enc: u8,
-    /// Per-row f32 scales (q16 only; empty for f32).
-    scales: &'a [u8],
-    /// Weight rows: f32 bits, or i16 codes for q16.
-    rows: &'a [u8],
-    /// Bias f32 bits.
-    biases: &'a [u8],
+    /// The shard's output rows.
+    out: Section<'a>,
 }
 
 fn parse_slice(bytes: &[u8]) -> Result<SlicePart<'_>, SnapshotError> {
-    if bytes.len() < SLICE_MAGIC.len() + 4 + 4 + 8 * 4 + 8 {
-        return Err(SnapshotError::Corrupt("too short"));
+    let (_, mut d) = open(bytes, SLICE_MAGIC, SLICE_VERSION..=SLICE_VERSION)?;
+    let version = d.u32()?;
+    if !(MIN_VERSION..=VERSION).contains(&version) {
+        return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let (payload, check_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(check_bytes.try_into().unwrap());
-    if fnv1a(payload) != stored {
-        return Err(SnapshotError::Corrupt("checksum mismatch"));
-    }
-    let mut d = Dec::new(payload);
-    if d.take(SLICE_MAGIC.len())? != SLICE_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let slice_version = d.u32()?;
-    if slice_version != SLICE_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(slice_version));
-    }
-    let snap_version = d.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&snap_version) {
-        return Err(SnapshotError::UnsupportedVersion(snap_version));
-    }
-    let lo = d.usize()?;
-    let hi = d.usize()?;
-    let total = d.usize()?;
+    let (lo, hi, total) = (d.usize()?, d.usize()?, d.usize()?);
     if !(lo < hi && hi <= total) {
         return Err(SnapshotError::Slice("invalid neuron range"));
     }
     let prefix_len = d.usize()?;
     let prefix = d.take(prefix_len)?;
-    let mut pd = Dec::new(prefix);
-    if pd.take(MAGIC.len())? != MAGIC {
+    let mut p = Dec::new(prefix);
+    if p.take(MAGIC.len())? != MAGIC {
         return Err(SnapshotError::Corrupt("embedded snapshot magic"));
     }
-    if pd.u32()? != snap_version {
+    if p.u32()? != version {
         return Err(SnapshotError::Corrupt("embedded snapshot version"));
     }
-    let config = decode_config(&mut pd)?;
-    if config.layers.is_empty() {
+    let config = decode_config(&mut p)?;
+    let Some((out_cfg, hidden)) = config.layers.split_last() else {
         return Err(SnapshotError::Corrupt("no layers"));
+    };
+    let sections = read_sections(&mut p, Framing::of(version), config.input_dim, hidden)?;
+    if p.rest() != 0 {
+        return Err(SnapshotError::Corrupt(SIZE_MISMATCH));
     }
-    let (prefix_end, out_fan_in) = walk_hidden_sections(prefix, pd.pos, snap_version, &config)?;
-    if prefix_end != prefix.len() {
-        return Err(SnapshotError::Corrupt("prefix size inconsistent"));
-    }
-    if config.layers[config.layers.len() - 1].units != total {
+    if out_cfg.units != total {
         return Err(SnapshotError::Slice("total differs from embedded config"));
     }
+    let fan_in = hidden.last().map_or(config.input_dim, |l| l.units);
+    // The full layer this slice was cut from held `total × fan_in` f32
+    // weights; a layer too large to allocate never existed.
+    if mul(mul(total, fan_in)?, 4)? > isize::MAX as usize {
+        return Err(SnapshotError::Corrupt(SIZE_MISMATCH));
+    }
     let center_len = d.usize()?;
-    if center_len != 0 && center_len != out_fan_in {
+    if center_len != 0 && center_len != fan_in {
         return Err(SnapshotError::Corrupt("center length"));
     }
-    let center = d.take(
-        center_len
-            .checked_mul(4)
-            .ok_or(SnapshotError::Corrupt("size overflow"))?,
-    )?;
-    let enc = d.u8()?;
-    if snap_version < 2 && enc != ENC_F32 {
+    let center = d.take(mul(center_len, 4)?)?;
+    let out = read_section(&mut d, Framing::SliceRows, hi - lo, fan_in)?;
+    if version < 2 && out.enc != ENC_F32 {
         return Err(SnapshotError::Corrupt("layer encoding tag"));
     }
-    let n = hi - lo;
-    let row_count = n
-        .checked_mul(out_fan_in)
-        .ok_or(SnapshotError::Corrupt("size overflow"))?;
-    let (scales, rows) = match enc {
-        ENC_F32 => {
-            let rows = d.take(
-                row_count
-                    .checked_mul(4)
-                    .ok_or(SnapshotError::Corrupt("size overflow"))?,
-            )?;
-            (&[][..], rows)
-        }
-        ENC_Q16 => {
-            let scales = d.take(n * 4)?;
-            let rows = d.take(
-                row_count
-                    .checked_mul(2)
-                    .ok_or(SnapshotError::Corrupt("size overflow"))?,
-            )?;
-            (scales, rows)
-        }
-        _ => return Err(SnapshotError::Corrupt("layer encoding tag")),
-    };
-    let biases = d.take(n * 4)?;
-    if d.pos != payload.len() {
+    if d.rest() != 0 {
         return Err(SnapshotError::Corrupt("trailing bytes"));
     }
     Ok(SlicePart {
-        snap_version,
         lo,
         hi,
         total,
-        prefix,
-        out_fan_in,
+        snap: Snapshot {
+            version,
+            config,
+            prefix,
+            sections,
+        },
         center,
-        enc,
-        scales,
-        rows,
-        biases,
+        out,
     })
 }
 
@@ -1029,23 +966,24 @@ fn parse_slice(bytes: &[u8]) -> Result<SlicePart<'_>, SnapshotError> {
 /// or gapped ranges, or incomplete coverage. Individual malformed slices
 /// yield the usual typed errors ([`SnapshotError::Corrupt`] etc.).
 pub fn assemble_slices(slices: &[Vec<u8>]) -> Result<Vec<u8>, SnapshotError> {
-    if slices.is_empty() {
+    let mut parts = slices
+        .iter()
+        .map(|s| parse_slice(s))
+        .collect::<Result<Vec<_>, _>>()?;
+    let Some(first) = parts.first() else {
         return Err(SnapshotError::Slice("no slices"));
+    };
+    let same_origin = |p: &SlicePart<'_>| {
+        p.snap.prefix == first.snap.prefix
+            && p.snap.version == first.snap.version
+            && p.total == first.total
+            && p.out.enc == first.out.enc
+            && p.center == first.center
+    };
+    if !parts.iter().all(same_origin) {
+        return Err(SnapshotError::Slice("slices come from different snapshots"));
     }
-    let mut parts = Vec::with_capacity(slices.len());
-    for s in slices {
-        parts.push(parse_slice(s)?);
-    }
-    for i in 1..parts.len() {
-        if parts[i].prefix != parts[0].prefix
-            || parts[i].snap_version != parts[0].snap_version
-            || parts[i].total != parts[0].total
-            || parts[i].enc != parts[0].enc
-            || parts[i].center != parts[0].center
-        {
-            return Err(SnapshotError::Slice("slices come from different snapshots"));
-        }
-    }
+    let (version, total, fan_in) = (first.snap.version, first.total, first.out.fan_in);
     parts.sort_by_key(|p| p.lo);
     let mut expect = 0usize;
     for p in &parts {
@@ -1057,31 +995,27 @@ pub fn assemble_slices(slices: &[Vec<u8>]) -> Result<Vec<u8>, SnapshotError> {
         }
         expect = p.hi;
     }
-    if expect != parts[0].total {
+    if expect != total {
         return Err(SnapshotError::Slice("slices do not cover the output layer"));
     }
-    let (total, fan_in) = (parts[0].total, parts[0].out_fan_in);
     let mut e = Enc::default();
-    e.buf.extend_from_slice(parts[0].prefix);
-    if parts[0].snap_version >= 2 {
-        e.u8(parts[0].enc);
+    e.buf.extend_from_slice(parts[0].snap.prefix);
+    if version >= 2 {
+        e.u8(parts[0].out.enc);
     }
+    // parse_slice bounded total × fan_in × 4 by isize::MAX.
     e.u64((total * fan_in) as u64);
-    if parts[0].enc == ENC_Q16 {
-        for p in &parts {
-            e.buf.extend_from_slice(p.scales);
-        }
+    for p in &parts {
+        e.buf.extend_from_slice(p.out.scales);
     }
     for p in &parts {
-        e.buf.extend_from_slice(p.rows);
+        e.buf.extend_from_slice(p.out.rows);
     }
     e.u64(total as u64);
     for p in &parts {
-        e.buf.extend_from_slice(p.biases);
+        e.buf.extend_from_slice(p.out.biases);
     }
-    let check = fnv1a(&e.buf);
-    e.u64(check);
-    Ok(e.buf)
+    Ok(e.finish())
 }
 
 /// A restored snapshot slice: a network whose output layer holds only
@@ -1112,101 +1046,39 @@ pub struct LoadedSlice {
 /// Typed [`SnapshotError`]s for malformed bytes, plus the embedded
 /// config's validation errors.
 pub fn read_slice(bytes: &[u8], center_rows: Option<bool>) -> Result<LoadedSlice, SnapshotError> {
-    let part = parse_slice(bytes)?;
-    let mut pd = Dec::new(part.prefix);
-    pd.take(MAGIC.len())?;
-    pd.u32()?;
-    let mut config = decode_config(&mut pd)?;
-    let params_start = pd.pos;
-    if let Some(center) = center_rows {
-        for layer in &mut config.layers {
-            if let Some(lsh) = &mut layer.lsh {
-                lsh.center_rows = center;
-            }
+    let SlicePart {
+        lo,
+        hi,
+        total,
+        snap,
+        center,
+        out,
+    } = parse_slice(bytes)?;
+    let (mut config, mut sections) = (snap.config, snap.sections);
+    override_centering(&mut config, center_rows);
+    let n = hi - lo;
+    if let Some(out_cfg) = config.layers.last_mut() {
+        out_cfg.units = n;
+        if let Some(lsh) = &mut out_cfg.lsh {
+            lsh.strategy = match lsh.strategy {
+                SamplingStrategy::Vanilla { budget } => SamplingStrategy::Vanilla {
+                    budget: budget.min(n),
+                },
+                SamplingStrategy::TopK { budget } => SamplingStrategy::TopK {
+                    budget: budget.min(n),
+                },
+                other => other,
+            };
         }
     }
-    let n = part.hi - part.lo;
-    let fan_in = part.out_fan_in;
-    let last_idx = config.layers.len() - 1;
-    config.layers[last_idx].units = n;
-    if let Some(lsh) = &mut config.layers[last_idx].lsh {
-        lsh.strategy = match lsh.strategy {
-            SamplingStrategy::Vanilla { budget } => SamplingStrategy::Vanilla {
-                budget: budget.min(n),
-            },
-            SamplingStrategy::TopK { budget } => SamplingStrategy::TopK {
-                budget: budget.min(n),
-            },
-            other => other,
-        };
-    }
-    let mut network = Network::new_output_sliced(config, part.total)?;
-    let mut values: Vec<f32> = Vec::new();
-    let mut d = Dec::new(part.prefix);
-    d.pos = params_start;
-    for li in 0..last_idx {
-        let layer = &mut network.layers_mut()[li];
-        decode_layer_params(&mut d, part.snap_version, layer, &mut values)?;
-        layer.rebuild_tables();
-    }
-    if d.pos != part.prefix.len() {
-        return Err(SnapshotError::Corrupt("prefix size inconsistent"));
-    }
-    let mut quantized: Option<QuantizedRows> = None;
-    {
-        let out = &mut network.layers_mut()[last_idx];
-        if part.center.is_empty() {
-            out.set_center_override(None);
-        } else {
-            let mut center = Vec::with_capacity(fan_in);
-            for i in 0..fan_in {
-                center.push(f32_at(part.center, i));
-            }
-            out.set_center_override(Some(center));
-        }
-        if part.enc == ENC_Q16 {
-            let mut scales = Vec::with_capacity(n);
-            for j in 0..n {
-                let s = f32_at(part.scales, j);
-                if !s.is_finite() || s < 0.0 {
-                    return Err(SnapshotError::Corrupt("quantized scale invalid"));
-                }
-                scales.push(s);
-            }
-            let mut codes = Vec::with_capacity(n * fan_in);
-            for i in 0..n * fan_in {
-                let p = i * 2;
-                codes.push(u16::from_le_bytes([part.rows[p], part.rows[p + 1]]) as i16);
-            }
-            let q = QuantizedRows::from_parts(n, fan_in, codes, scales);
-            values.resize(fan_in, 0.0);
-            for j in 0..n {
-                q.dequantize_row(j, &mut values);
-                for (i, &v) in values.iter().enumerate() {
-                    out.weights().set(j, i, v);
-                }
-            }
-            quantized = Some(q);
-        } else {
-            values.clear();
-            values.reserve(n * fan_in);
-            for i in 0..n * fan_in {
-                values.push(f32_at(part.rows, i));
-            }
-            out.weights().copy_from_neuron_major(&values);
-        }
-        values.clear();
-        for j in 0..n {
-            values.push(f32_at(part.biases, j));
-        }
-        out.biases().copy_from(&values);
-        out.rebuild_tables();
-    }
+    sections.push(out);
+    let center = (!center.is_empty()).then(|| f32s(center).collect());
+    let network = Network::new_output_sliced(config, total)?;
     Ok(LoadedSlice {
-        snapshot: LoadedSnapshot { network, quantized },
-        lo: part.lo,
-        hi: part.hi,
-        total: part.total,
+        snapshot: install_all(network, &sections, center)?,
+        lo,
+        hi,
+        total,
     })
 }
 
@@ -1262,91 +1134,61 @@ pub fn publish_bytes<P: AsRef<Path>>(path: P, bytes: &[u8]) -> Result<(), Snapsh
     Ok(())
 }
 
-/// Writes a snapshot of `network` to `path` via the atomic
-/// tmp+fsync+rename publication path ([`publish_bytes`]), so a watcher
-/// polling `path` never sees a torn file.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::Io`] on filesystem failure.
-pub fn save_network<P: AsRef<Path>>(network: &Network, path: P) -> Result<(), SnapshotError> {
-    publish_bytes(path, &write_network(network))
-}
-
-/// [`save_network`] with a quantized output layer
-/// ([`write_network_quantized`]), also via atomic publication.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::Io`] on filesystem failure.
-pub fn save_network_quantized<P: AsRef<Path>>(
-    network: &Network,
-    path: P,
-) -> Result<(), SnapshotError> {
-    publish_bytes(path, &write_network_quantized(network))
-}
-
-/// Loads a snapshot from `path` and restores the network (tables rebuilt).
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on filesystem failure or a malformed
-/// snapshot.
-pub fn load_network<P: AsRef<Path>>(path: P) -> Result<Network, SnapshotError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    read_network(&bytes)
-}
-
 impl Network {
     /// Serializes this network to snapshot bytes ([`write_network`]).
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         write_network(self)
     }
 
-    /// Serializes this network with a quantized output layer
-    /// ([`write_network_quantized`]).
+    /// Serializes this network with the *output layer* stored as i16
+    /// fixed-point rows with per-row scales ([`QuantizedRows`]) — roughly
+    /// half the bytes of [`write_network`] when the output layer
+    /// dominates. Hidden layers and all biases stay exact f32; training
+    /// state is unaffected.
     pub fn to_quantized_snapshot_bytes(&self) -> Vec<u8> {
-        write_network_quantized(self)
+        write_with(self, true)
     }
 
-    /// Restores a network from snapshot bytes ([`read_network`]).
+    /// Restores a network from snapshot bytes, discarding any quantized
+    /// rows ([`read_snapshot_with_centering`] keeps them).
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError`] on a malformed snapshot.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        read_network(bytes)
+        read_snapshot_with_centering(bytes, None).map(|s| s.network)
     }
 
-    /// Writes a snapshot file ([`save_network`]) — atomically published,
-    /// so a concurrent reader never sees a torn file.
+    /// Writes a snapshot file via the atomic tmp+fsync+rename
+    /// publication path ([`publish_bytes`]), so a watcher polling `path`
+    /// never sees a torn file.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::Io`] on filesystem failure.
     pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
-        save_network(self, path)
+        publish_bytes(path, &self.to_snapshot_bytes())
     }
 
-    /// Writes a quantized snapshot file ([`save_network_quantized`]),
-    /// also atomically published.
+    /// Writes a quantized snapshot file
+    /// ([`Network::to_quantized_snapshot_bytes`]), also atomically
+    /// published.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::Io`] on filesystem failure.
     pub fn save_quantized_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), SnapshotError> {
-        save_network_quantized(self, path)
+        publish_bytes(path, &self.to_quantized_snapshot_bytes())
     }
 
-    /// Loads a snapshot file ([`load_network`]).
+    /// Loads a snapshot file and restores the network (tables rebuilt).
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError`] on filesystem failure or a malformed
     /// snapshot.
     pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        load_network(path)
+        Self::from_snapshot_bytes(&std::fs::read(path)?)
     }
 }
 
@@ -1354,6 +1196,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::config::LshLayerConfig;
+    use proptest::prelude::*;
 
     fn trained_network() -> Network {
         let cfg = NetworkConfig::builder(32, 60)
@@ -1379,9 +1222,9 @@ mod tests {
         let path = dir.join("model.slidesnap");
         // Publish twice (an initial write and an overwrite): both must
         // land complete and loadable.
-        save_network(&net, &path).unwrap();
-        save_network_quantized(&net, &path).unwrap();
-        let restored = load_network(&path).unwrap();
+        net.save_snapshot(&path).unwrap();
+        net.save_quantized_snapshot(&path).unwrap();
+        let restored = Network::load_snapshot(&path).unwrap();
         assert_eq!(restored.config().input_dim, net.config().input_dim);
         // No temp siblings survive a successful publish.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -1503,6 +1346,21 @@ mod tests {
             Err(SnapshotError::Corrupt(
                 "parameter payload size inconsistent with config"
             ))
+        ));
+    }
+
+    #[test]
+    fn overflowing_dimensions_rejected_without_panic() {
+        // input_dim = units = 2^63: the first layer's weight count
+        // overflows any fixed-width size computation, so sizing must be
+        // checked, not wrapped or trapped.
+        let mut bytes = trained_network().to_snapshot_bytes();
+        bytes[12..20].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        bytes[49..57].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        fix_checksum(&mut bytes);
+        assert!(matches!(
+            Network::from_snapshot_bytes(&bytes),
+            Err(SnapshotError::Corrupt(SIZE_MISMATCH))
         ));
     }
 
@@ -1665,9 +1523,7 @@ mod tests {
                 e.f32(b.get(i));
             }
         }
-        let check = fnv1a(&e.buf);
-        e.u64(check);
-        e.buf
+        e.finish()
     }
 
     #[test]
@@ -2004,6 +1860,364 @@ mod tests {
             read_slice(&bytes, None),
             Err(SnapshotError::BadMagic)
         ));
+    }
+
+    /// Overwrites the trailing checksum so a mutation reaches the checks
+    /// behind it (FNV is not tamper-proof).
+    fn fix_checksum(bytes: &mut [u8]) {
+        if let Some(n) = bytes.len().checked_sub(8) {
+            let check = fnv1a(&bytes[..n]).to_le_bytes();
+            bytes[n..].copy_from_slice(&check);
+        }
+    }
+
+    /// A slice of a single-layer network of `input_dim` inputs whose
+    /// header and embedded config claim an output layer of `total`
+    /// neurons, holding rows `lo..hi`; `tail` follows the centering
+    /// vector (its enc tag, rows and biases).
+    fn crafted_slice(input_dim: usize, lo: u64, hi: u64, total: u64, tail: &[u8]) -> Vec<u8> {
+        let mut config = NetworkConfig::builder(input_dim, 4).build().unwrap();
+        config.layers[0].units = total as usize;
+        let mut prefix = Enc::default();
+        prefix.buf.extend_from_slice(MAGIC);
+        prefix.u32(VERSION);
+        encode_config(&mut prefix, &config);
+        let mut e = Enc::default();
+        e.buf.extend_from_slice(SLICE_MAGIC);
+        e.u32(SLICE_VERSION);
+        e.u32(VERSION);
+        for v in [lo, hi, total, prefix.buf.len() as u64] {
+            e.u64(v);
+        }
+        e.buf.extend_from_slice(&prefix.buf);
+        e.u64(0);
+        e.buf.extend_from_slice(tail);
+        e.finish()
+    }
+
+    #[test]
+    fn read_slice_rejects_malformed_slices_with_typed_errors() {
+        enum Expect {
+            Corrupt,
+            BadMagic,
+            UnsupportedVersion(u32),
+            Slice(&'static str),
+        }
+        // Header offsets: magic 0..8, slice version 8..12, snapshot
+        // version 12..16, lo 16..24, hi 24..32, total 32..40, prefix
+        // length 40..48, prefix from 48.
+        let set = |at: usize, v: &[u8]| -> Box<dyn Fn(Vec<u8>) -> Vec<u8>> {
+            let v = v.to_vec();
+            Box::new(move |mut b: Vec<u8>| {
+                b[at..at + v.len()].copy_from_slice(&v);
+                fix_checksum(&mut b);
+                b
+            })
+        };
+        type Case = (&'static str, Box<dyn Fn(Vec<u8>) -> Vec<u8>>, Expect);
+        let cases: Vec<Case> = vec![
+            ("empty", Box::new(|_| Vec::new()), Expect::Corrupt),
+            (
+                "truncated",
+                Box::new(|b: Vec<u8>| b[..b.len() - 10].to_vec()),
+                Expect::Corrupt,
+            ),
+            (
+                "truncated, checksum fixed up",
+                Box::new(|b: Vec<u8>| {
+                    let mut t = b[..b.len() - 10].to_vec();
+                    fix_checksum(&mut t);
+                    t
+                }),
+                Expect::Corrupt,
+            ),
+            (
+                "trailing byte, checksum fixed up",
+                Box::new(|mut b: Vec<u8>| {
+                    b.push(0);
+                    fix_checksum(&mut b);
+                    b
+                }),
+                Expect::Corrupt,
+            ),
+            (
+                "corrupted byte",
+                Box::new(|mut b: Vec<u8>| {
+                    let mid = b.len() / 2;
+                    b[mid] ^= 0x40;
+                    b
+                }),
+                Expect::Corrupt,
+            ),
+            ("bad magic", set(0, b"SLIDSNAP"), Expect::BadMagic),
+            (
+                "slice version 2",
+                set(8, &2u32.to_le_bytes()),
+                Expect::UnsupportedVersion(2),
+            ),
+            (
+                "snapshot version 3",
+                set(12, &3u32.to_le_bytes()),
+                Expect::UnsupportedVersion(3),
+            ),
+            (
+                "embedded snapshot version differs",
+                set(12, &1u32.to_le_bytes()),
+                Expect::Corrupt,
+            ),
+            (
+                "empty neuron range",
+                set(24, &20u64.to_le_bytes()),
+                Expect::Slice("invalid neuron range"),
+            ),
+            (
+                "range past total",
+                set(24, &61u64.to_le_bytes()),
+                Expect::Slice("invalid neuron range"),
+            ),
+            (
+                "total differs from the embedded config",
+                set(32, &61u64.to_le_bytes()),
+                Expect::Slice("total differs from embedded config"),
+            ),
+            (
+                "range and total inflated",
+                set(
+                    24,
+                    &[u64::MAX.to_le_bytes(), u64::MAX.to_le_bytes()].concat(),
+                ),
+                Expect::Slice("total differs from embedded config"),
+            ),
+            (
+                "prefix length inflated",
+                set(40, &u64::MAX.to_le_bytes()),
+                Expect::Corrupt,
+            ),
+            (
+                "prefix length short by one",
+                Box::new(|mut b: Vec<u8>| {
+                    let len = u64::from_le_bytes(b[40..48].try_into().unwrap());
+                    b[40..48].copy_from_slice(&(len - 1).to_le_bytes());
+                    fix_checksum(&mut b);
+                    b
+                }),
+                Expect::Corrupt,
+            ),
+        ];
+        let net = centered_network();
+        let good = slice_snapshot(&net.to_snapshot_bytes(), 3).unwrap()[1].clone();
+        for (name, mutate, expect) in cases {
+            let got = read_slice(&mutate(good.clone()), Some(true)).map(|s| s.lo);
+            match (expect, got) {
+                (Expect::Corrupt, Err(SnapshotError::Corrupt(_))) => {}
+                (Expect::BadMagic, Err(SnapshotError::BadMagic)) => {}
+                (Expect::UnsupportedVersion(want), Err(SnapshotError::UnsupportedVersion(v)))
+                    if v == want => {}
+                (Expect::Slice(want), Err(SnapshotError::Slice(what))) if what == want => {}
+                (_, got) => panic!("case {name:?}: wrong outcome {got:?}"),
+            }
+        }
+        // Header fields that agree with each other but describe a layer
+        // too large to exist fail typed: q16 rows of 2^62 neurons (their
+        // scales alone would take 2^64 bytes), and f32 rows whose byte
+        // count overflows.
+        for (input_dim, hi, enc) in [(1, 1u64 << 62, ENC_Q16), (4, 1u64 << 62, ENC_F32)] {
+            let slice = crafted_slice(input_dim, 0, hi, hi, &[enc]);
+            assert!(
+                matches!(read_slice(&slice, None), Err(SnapshotError::Corrupt(_))),
+                "{input_dim}/{enc}"
+            );
+        }
+        // A v1 slice carries f32 rows only.
+        let v1 = slice_snapshot(&v1_bytes(&net), 3).unwrap()[0].clone();
+        let enc_at = v1.len() - 8 - 20 * 4 - 20 * 12 * 4 - 1;
+        assert_eq!(v1[enc_at], ENC_F32);
+        let mut q = v1.clone();
+        q[enc_at] = ENC_Q16;
+        fix_checksum(&mut q);
+        assert!(matches!(
+            read_slice(&q, None),
+            Err(SnapshotError::Corrupt("layer encoding tag"))
+        ));
+    }
+
+    /// Byte positions, within `encode_config`'s output for `config`, that
+    /// change when `edit` is applied: the bytes of the edited fields.
+    fn config_field_bytes(config: &NetworkConfig, edit: impl Fn(&mut NetworkConfig)) -> Vec<usize> {
+        let (mut a, mut b) = (Enc::default(), Enc::default());
+        let mut edited = config.clone();
+        edit(&mut edited);
+        encode_config(&mut a, config);
+        encode_config(&mut b, &edited);
+        assert_eq!(a.buf.len(), b.buf.len(), "edits must keep the layout");
+        (0..a.buf.len()).filter(|&i| a.buf[i] != b.buf[i]).collect()
+    }
+
+    /// A seed input for the mutation property: the bytes, where the
+    /// embedded config starts in them, and the offsets of the length and
+    /// count fields worth inflating.
+    struct Seed {
+        bytes: Vec<u8>,
+        config_at: usize,
+        counts: Vec<usize>,
+    }
+
+    /// Snapshots (f32, q16, v1) and slices of each, with their count
+    /// fields: input_dim, n_layers and every layer's units in the
+    /// config; every section's weight and bias counts; a slice's lo, hi,
+    /// total, prefix and center lengths.
+    fn mutation_seeds(net: &Network) -> (Vec<Seed>, Vec<Seed>) {
+        let config = net.config();
+        let dims: Vec<usize> = config_field_bytes(config, |c| {
+            c.input_dim = usize::MAX;
+            for l in &mut c.layers {
+                l.units = usize::MAX;
+            }
+        })
+        .chunks(8)
+        .map(|c| c[0])
+        .chain([45 - 12])
+        .collect();
+        let mut snapshots = Vec::new();
+        let mut slices = Vec::new();
+        for bytes in [
+            net.to_snapshot_bytes(),
+            net.to_quantized_snapshot_bytes(),
+            v1_bytes(net),
+        ] {
+            let snap = parse_snapshot(&bytes).unwrap();
+            let tag = usize::from(snap.version >= 2);
+            let mut counts: Vec<usize> = dims.iter().map(|&o| o + 12).collect();
+            for sec in &snap.sections {
+                counts.push(sec.start + tag);
+                counts.push(sec.start + tag + 8 + sec.scales.len() + sec.rows.len());
+            }
+            for slice in slice_snapshot(&bytes, 3).unwrap() {
+                let prefix_len = snap.prefix.len();
+                let mut slice_counts = vec![16, 24, 32, 40, 48 + prefix_len];
+                slice_counts.extend(counts.iter().filter(|&&o| o < prefix_len).map(|&o| o + 48));
+                slices.push(Seed {
+                    bytes: slice,
+                    config_at: 48 + 12,
+                    counts: slice_counts,
+                });
+            }
+            snapshots.push(Seed {
+                bytes,
+                config_at: 12,
+                counts,
+            });
+        }
+        (snapshots, slices)
+    }
+
+    /// Applies mutation `kind` to `bytes`, drawing positions from `pick`;
+    /// `None` when the mutation would land on a skipped byte.
+    fn mutate(seed: &Seed, geometry: &[usize], kind: u64, pick: u64, bit: u32) -> Option<Vec<u8>> {
+        let mut b = seed.bytes.clone();
+        let at = (pick % b.len() as u64) as usize;
+        match kind {
+            // Bit flip, checksum fixed up so it reaches the decoder.
+            0 | 1 => {
+                if geometry.iter().any(|&g| g + seed.config_at == at) {
+                    return None;
+                }
+                b[at] ^= 1 << bit;
+                if kind == 0 {
+                    fix_checksum(&mut b);
+                }
+            }
+            // Truncation with a recomputed checksum.
+            2 => {
+                b.truncate(at);
+                fix_checksum(&mut b);
+            }
+            // An inflated length or count field.
+            _ => {
+                let field = seed.counts[(pick % seed.counts.len() as u64) as usize];
+                let old = u32::from_le_bytes(b[field..field + 4].try_into().unwrap()) as u64;
+                let value = [
+                    1u64 << 63,
+                    u64::MAX,
+                    1 << 40,
+                    1 << 32,
+                    old + 1,
+                    old.wrapping_sub(1),
+                    old << 20,
+                    old << 31,
+                ][bit as usize];
+                // n_layers is the one u32 count field.
+                let width = if field == seed.config_at + 33 { 4 } else { 8 };
+                b[field..field + width].copy_from_slice(&value.to_le_bytes()[..width]);
+                fix_checksum(&mut b);
+            }
+        }
+        Some(b)
+    }
+
+    proptest! {
+        /// Mutated snapshots and slice sets never panic a decoder; each
+        /// call returns a typed error or `Ok`, and an f32 v2 snapshot
+        /// that still decodes re-encodes to exactly its bytes. Flips of
+        /// the LSH table-geometry fields (k, l, table_bits,
+        /// bucket_capacity) are skipped: they yield valid configs whose
+        /// hash tables can take gigabytes, which no size check against
+        /// the input can catch.
+        #[test]
+        fn prop_mutated_snapshots_and_slices_decode_typed(
+            which in 0usize..6,
+            kind in 0u64..4,
+            pick in 0u64..u64::MAX,
+            bit in 0u32..8,
+        ) {
+            thread_local! {
+                static SEEDS: (Vec<Seed>, Vec<Seed>, Vec<usize>) = {
+                    let net = centered_network();
+                    let (snapshots, slices) = mutation_seeds(&net);
+                    let geometry = config_field_bytes(net.config(), |c| {
+                        for lsh in c.layers.iter_mut().filter_map(|l| l.lsh.as_mut()) {
+                            lsh.k = usize::MAX;
+                            lsh.l = usize::MAX;
+                            lsh.table_bits = u32::MAX;
+                            lsh.bucket_capacity = usize::MAX;
+                        }
+                    });
+                    (snapshots, slices, geometry)
+                };
+            }
+            SEEDS.with(|(snapshots, slices, geometry)| {
+                if which < 3 {
+                    let seed = &snapshots[which];
+                    let Some(bytes) = mutate(seed, geometry, kind, pick, bit) else {
+                        return Ok(());
+                    };
+                    let loaded = read_snapshot_with_centering(&bytes, None);
+                    if let (0, Ok(loaded)) = (which, &loaded) {
+                        prop_assert!(
+                            write_network(&loaded.network) == bytes,
+                            "decoded mutant does not re-encode to its bytes"
+                        );
+                    }
+                    if let Ok(parts) = slice_snapshot(&bytes, 3) {
+                        prop_assert!(
+                            assemble_slices(&parts).ok().as_ref() == Some(&bytes),
+                            "slices of a decodable mutant do not reassemble to it"
+                        );
+                    }
+                } else {
+                    let i = (which - 3) * 3 + (pick % 3) as usize;
+                    let Some(bytes) = mutate(&slices[i], geometry, kind, pick / 3, bit) else {
+                        return Ok(());
+                    };
+                    let _ = read_slice(&bytes, Some(true));
+                    let mut set: Vec<Vec<u8>> =
+                        slices[(which - 3) * 3..][..3].iter().map(|s| s.bytes.clone()).collect();
+                    set[i % 3] = bytes;
+                    let _ = assemble_slices(&set);
+                }
+                Ok(())
+            })?;
+        }
     }
 
     #[test]

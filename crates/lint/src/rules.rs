@@ -70,8 +70,9 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "no-panic-paths",
         "no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` \
-         in serve request-handling modules (batch/http/conn/engine/wire), where \
-         a panic costs a whole drain or event loop",
+         in serve request-handling modules (batch/http/conn/engine/wire/router), \
+         where a panic costs a whole drain or event loop, and in the snapshot \
+         codec, which decodes hot-reloaded bytes",
     ),
     (
         "wire-doc-sync",
@@ -90,7 +91,9 @@ const HOGWILD_FILES: &[&str] = &["crates/core/src/hogwild.rs", "crates/kernels/s
 /// Files where `extern "C"` declarations may appear.
 const FFI_FILES: &[&str] = &["crates/serve/src/net.rs", "crates/data/src/source.rs"];
 
-/// Serve request-path modules where panicking is a whole-drain outage.
+/// Serve request-path modules where panicking is a whole-drain outage,
+/// and the snapshot codec, which decodes a watched file on the serve
+/// hot-reload path.
 const PANIC_FREE_FILES: &[&str] = &[
     "crates/serve/src/batch.rs",
     "crates/serve/src/http.rs",
@@ -98,6 +101,7 @@ const PANIC_FREE_FILES: &[&str] = &[
     "crates/serve/src/engine.rs",
     "crates/serve/src/wire.rs",
     "crates/serve/src/router.rs",
+    "crates/core/src/snapshot.rs",
 ];
 
 /// Identifiers whose call panics on the unhappy path.
@@ -448,8 +452,8 @@ fn no_panic_paths(path: &str, tokens: &[Token], map: &FileMap, diags: &mut Vec<D
                     file: path.to_string(),
                     line: t.line,
                     message: format!(
-                        "`{name}()` on a serve request path; return a typed \
-                         `ServeError` instead (or `lint:allow` with the invariant)"
+                        "`{name}()` on a panic-free path; return a typed \
+                         error instead (or `lint:allow` with the invariant)"
                     ),
                 });
             }
@@ -459,8 +463,8 @@ fn no_panic_paths(path: &str, tokens: &[Token], map: &FileMap, diags: &mut Vec<D
                 file: path.to_string(),
                 line: t.line,
                 message: format!(
-                    "`{name}!` on a serve request path; a panic here costs the \
-                     whole drain — return a typed `ServeError` (or `lint:allow` \
+                    "`{name}!` on a panic-free path; a panic here costs a whole \
+                     drain or reload — return a typed error (or `lint:allow` \
                      with the invariant)"
                 ),
             });
@@ -605,6 +609,11 @@ let r = r#"unsafe fn f()"#;
         assert_eq!(
             rules_hit("crates/core/src/layer.rs", src),
             Vec::<&str>::new()
+        );
+        // the snapshot codec decodes hot-reloaded bytes
+        assert_eq!(
+            rules_hit("crates/core/src/snapshot.rs", src),
+            ["no-panic-paths"]
         );
     }
 
